@@ -50,9 +50,9 @@
 
 #include "core/registry.h"
 #include "data/generator.h"
-#include "serve/json.h"
 #include "serve/service.h"
 #include "tensor/int8.h"
+#include "util/json.h"
 #include "util/metrics.h"
 #include "util/observability.h"
 #include "util/request_trace.h"
@@ -219,9 +219,9 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i + 1 < dataset.test.size() && bodies.size() < 64; ++i) {
     bodies.push_back(
         "{\"left\": \"" +
-        serve::json::Escape(dataset.test[i].left.Description()) +
+        json::Escape(dataset.test[i].left.Description()) +
         "\", \"right\": \"" +
-        serve::json::Escape(dataset.test[i + 1].right.Description()) + "\"}");
+        json::Escape(dataset.test[i + 1].right.Description()) + "\"}");
   }
   EMBA_CHECK(!bodies.empty());
 

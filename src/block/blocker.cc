@@ -49,8 +49,8 @@ std::vector<CandidatePair> Dedup(std::vector<CandidatePair> pairs) {
 std::vector<CandidatePair> TokenBlocker::Candidates(
     const std::vector<data::Record>& left,
     const std::vector<data::Record>& right) const {
-  EMBA_TRACE_SPAN_ARG("block/token_blocker", "records",
-                      left.size() + right.size());
+  EMBA_TRACE_SPAN_ARGS("block/token_blocker",
+                       {"records", left.size() + right.size()});
   // Count document frequency across both sides to suppress stop tokens.
   std::unordered_map<std::string, size_t> doc_freq;
   auto count_side = [&](const std::vector<data::Record>& records) {
@@ -149,8 +149,8 @@ double MinHashBlocker::EstimateJaccard(const std::vector<uint64_t>& a,
 std::vector<CandidatePair> MinHashBlocker::Candidates(
     const std::vector<data::Record>& left,
     const std::vector<data::Record>& right) const {
-  EMBA_TRACE_SPAN_ARG("block/minhash_blocker", "records",
-                      left.size() + right.size());
+  EMBA_TRACE_SPAN_ARGS("block/minhash_blocker",
+                       {"records", left.size() + right.size()});
   const int rows = config_.num_hashes / config_.bands;
   // Signature computation dominates MinHash blocking and is independent per
   // record — fan it out with index-addressed writes.
@@ -219,8 +219,8 @@ std::string SortedNeighborhoodBlocker::SortKey(const data::Record& record) {
 std::vector<CandidatePair> SortedNeighborhoodBlocker::Candidates(
     const std::vector<data::Record>& left,
     const std::vector<data::Record>& right) const {
-  EMBA_TRACE_SPAN_ARG("block/sorted_neighborhood", "records",
-                      left.size() + right.size());
+  EMBA_TRACE_SPAN_ARGS("block/sorted_neighborhood",
+                       {"records", left.size() + right.size()});
   // Merge both sides into one keyed sequence, then pair cross-side records
   // within the window.
   struct Entry {

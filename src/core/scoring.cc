@@ -31,7 +31,7 @@ std::vector<ModelOutput> BatchForward(const EmModel& model,
   EMBA_CHECK_MSG(!model.training(),
                  "BatchForward requires an eval-mode model "
                  "(call SetTraining(false) first)");
-  EMBA_TRACE_SPAN_ARG("core/batch_forward", "pairs", samples.size());
+  EMBA_TRACE_SPAN_ARGS("core/batch_forward", {"pairs", samples.size()});
   Stopwatch batch_timer;
   std::vector<ModelOutput> outputs(samples.size());
   GlobalThreadPool().ParallelForChunks(
@@ -84,8 +84,8 @@ std::vector<double> BatchMatchProbabilities(
     const EmModel& model, const std::vector<PairSample>& samples) {
   EMBA_CHECK_MSG(!model.training(),
                  "BatchMatchProbabilities requires an eval-mode model");
-  EMBA_TRACE_SPAN_ARG("core/batch_match_probabilities", "pairs",
-                      samples.size());
+  EMBA_TRACE_SPAN_ARGS("core/batch_match_probabilities",
+                       {"pairs", samples.size()});
   Stopwatch batch_timer;
   std::vector<double> probabilities(samples.size());
   GlobalThreadPool().ParallelForChunks(

@@ -381,7 +381,7 @@ ag::Var Trainer::SampleLoss(const PairSample& sample,
 }
 
 EvalResult Trainer::Evaluate(const std::vector<PairSample>& split) const {
-  EMBA_TRACE_SPAN_ARG("trainer/evaluate", "pairs", split.size());
+  EMBA_TRACE_SPAN_ARGS("trainer/evaluate", {"pairs", split.size()});
   model_->SetTraining(false);
   // Forward passes fan out across the thread pool; outputs come back in
   // split order, so the metric accumulation below is thread-count invariant.
@@ -539,7 +539,7 @@ Status Trainer::Run(TrainResult* out) {
   model_->SetTraining(true);
   for (int epoch = static_cast<int>(state.next_epoch);
        epoch < config_.max_epochs; ++epoch) {
-    EMBA_TRACE_SPAN_ARG("trainer/epoch", "epoch", epoch);
+    EMBA_TRACE_SPAN_ARGS("trainer/epoch", {"epoch", epoch});
     // Resume-safe early-stop guard: an uninterrupted run breaks at the end
     // of the epoch that exhausts the patience; a resumed run whose
     // checkpoint already carries that exhausted patience must not train one
@@ -786,7 +786,7 @@ Status Trainer::Run(TrainResult* out) {
       state.epoch_train_loss = result.epoch_train_loss;
       state.epoch_valid_f1 = result.epoch_valid_f1;
       state.order = order;
-      EMBA_TRACE_SPAN_ARG("trainer/checkpoint_write", "epoch", epoch);
+      EMBA_TRACE_SPAN_ARGS("trainer/checkpoint_write", {"epoch", epoch});
       Stopwatch checkpoint_timer;
       int64_t checkpoint_bytes = 0;
       EMBA_RETURN_NOT_OK(SaveTrainerCheckpoint(

@@ -10,10 +10,10 @@
 
 #include "core/scoring.h"
 #include "pipeline/dedupe.h"
-#include "serve/json.h"
 #include "tensor/arena.h"
 #include "tensor/int8.h"
 #include "tensor/kernels.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/observability.h"

@@ -2,13 +2,10 @@
 // Resolved once per process and cached; ForceBackend/ResetBackend exist for
 // tests and benches that need to pin or compare backends explicitly.
 //
-// Observability: when the metrics registry is enabled (util/metrics) at
-// resolution time, the dispatched table is wrapped in a counting shim — one
-// relaxed atomic increment per kernel call, per kernel ("kernels.calls.*").
-// The shim is never installed when metrics are off, so the default hot path
-// is exactly the raw function-pointer call it was before. The resolved
-// backend is exported as the "kernels.backend_avx2" gauge and a one-shot
-// "kernels/dispatch" trace span.
+// Observability: the resolved backend is exported as the
+// "kernels.backend_avx2" gauge and a one-shot "kernels/dispatch" trace span.
+// Kernel calls are dispatched through the raw function-pointer table with
+// no per-call instrumentation.
 #include "tensor/kernels.h"
 
 #include <atomic>
@@ -55,230 +52,6 @@ uint64_t Xgetbv0() {
 }
 #endif
 
-// ---------------------------------------------------------------------------
-// Counting shim: forwards every entry to the wrapped base table, bumping a
-// per-kernel counter first. Only installed when metrics::Enabled() during
-// resolution, so it costs nothing in ordinary runs.
-
-std::atomic<const KernelTable*> g_counted_base{nullptr};
-
-const KernelTable* CountedBase() {
-  return g_counted_base.load(std::memory_order_relaxed);
-}
-
-// Each wrapper resolves its registry counter once (function-local static)
-// and then pays one relaxed fetch_add per call.
-#define EMBA_COUNTED_KERNEL(Entry, metric)                       \
-  static metrics::Counter& Counter_##Entry() {                   \
-    static metrics::Counter& c =                                 \
-        metrics::GetCounter("kernels.calls." metric);            \
-    return c;                                                    \
-  }
-
-EMBA_COUNTED_KERNEL(Dot, "dot")
-EMBA_COUNTED_KERNEL(Sum, "sum")
-EMBA_COUNTED_KERNEL(SumSq, "sum_sq")
-EMBA_COUNTED_KERNEL(CenteredSumSq, "centered_sum_sq")
-EMBA_COUNTED_KERNEL(Max, "max")
-EMBA_COUNTED_KERNEL(Add, "add")
-EMBA_COUNTED_KERNEL(Sub, "sub")
-EMBA_COUNTED_KERNEL(Mul, "mul")
-EMBA_COUNTED_KERNEL(Scale, "scale")
-EMBA_COUNTED_KERNEL(AddScalar, "add_scalar")
-EMBA_COUNTED_KERNEL(Axpy, "axpy")
-EMBA_COUNTED_KERNEL(MulAdd, "mul_add")
-EMBA_COUNTED_KERNEL(MatMulBlockAxpy, "matmul_block_axpy")
-EMBA_COUNTED_KERNEL(MatMulBlockDot, "matmul_block_dot")
-EMBA_COUNTED_KERNEL(ExpSubSum, "exp_sub_sum")
-EMBA_COUNTED_KERNEL(ExpSubSumConst, "exp_sub_sum_const")
-EMBA_COUNTED_KERNEL(Gelu, "gelu")
-EMBA_COUNTED_KERNEL(Relu, "relu")
-EMBA_COUNTED_KERNEL(Tanh, "tanh")
-EMBA_COUNTED_KERNEL(Sigmoid, "sigmoid")
-EMBA_COUNTED_KERNEL(GeluBackward, "gelu_backward")
-EMBA_COUNTED_KERNEL(TanhBackward, "tanh_backward")
-EMBA_COUNTED_KERNEL(SigmoidBackward, "sigmoid_backward")
-EMBA_COUNTED_KERNEL(SoftmaxBackwardRow, "softmax_backward_row")
-EMBA_COUNTED_KERNEL(LayerNormForwardRow, "layer_norm_forward_row")
-EMBA_COUNTED_KERNEL(MinMax, "min_max")
-EMBA_COUNTED_KERNEL(Int8QuantizeRow, "int8_quantize_row")
-EMBA_COUNTED_KERNEL(Int8GemmDequant, "int8_gemm_dequant")
-EMBA_COUNTED_KERNEL(Transpose2D, "transpose2d")
-
-#undef EMBA_COUNTED_KERNEL
-
-float CountedDot(const float* a, const float* b, int64_t n) {
-  Counter_Dot().Increment();
-  return CountedBase()->Dot(a, b, n);
-}
-double CountedSum(const float* x, int64_t n) {
-  Counter_Sum().Increment();
-  return CountedBase()->Sum(x, n);
-}
-double CountedSumSq(const float* x, int64_t n) {
-  Counter_SumSq().Increment();
-  return CountedBase()->SumSq(x, n);
-}
-double CountedCenteredSumSq(const float* x, float center, int64_t n) {
-  Counter_CenteredSumSq().Increment();
-  return CountedBase()->CenteredSumSq(x, center, n);
-}
-float CountedMax(const float* x, int64_t n) {
-  Counter_Max().Increment();
-  return CountedBase()->Max(x, n);
-}
-void CountedAdd(float* y, const float* x, int64_t n) {
-  Counter_Add().Increment();
-  CountedBase()->Add(y, x, n);
-}
-void CountedSub(float* y, const float* x, int64_t n) {
-  Counter_Sub().Increment();
-  CountedBase()->Sub(y, x, n);
-}
-void CountedMul(float* y, const float* x, int64_t n) {
-  Counter_Mul().Increment();
-  CountedBase()->Mul(y, x, n);
-}
-void CountedScale(float* y, float s, int64_t n) {
-  Counter_Scale().Increment();
-  CountedBase()->Scale(y, s, n);
-}
-void CountedAddScalar(float* y, float s, int64_t n) {
-  Counter_AddScalar().Increment();
-  CountedBase()->AddScalar(y, s, n);
-}
-void CountedAxpy(float* y, float a, const float* x, int64_t n) {
-  Counter_Axpy().Increment();
-  CountedBase()->Axpy(y, a, x, n);
-}
-void CountedMulAdd(float* acc, const float* a, const float* b, int64_t n) {
-  Counter_MulAdd().Increment();
-  CountedBase()->MulAdd(acc, a, b, n);
-}
-void CountedMatMulBlockAxpy(float* c, const float* a, int64_t a_row_stride,
-                            int64_t a_col_stride, int64_t num_rows,
-                            const float* b, int64_t k, int64_t n) {
-  Counter_MatMulBlockAxpy().Increment();
-  CountedBase()->MatMulBlockAxpy(c, a, a_row_stride, a_col_stride, num_rows,
-                                 b, k, n);
-}
-void CountedMatMulBlockDot(float* c, const float* a, int64_t num_rows,
-                           const float* b, int64_t k, int64_t n) {
-  Counter_MatMulBlockDot().Increment();
-  CountedBase()->MatMulBlockDot(c, a, num_rows, b, k, n);
-}
-float CountedExpSubSum(float* x, float mx, int64_t n) {
-  Counter_ExpSubSum().Increment();
-  return CountedBase()->ExpSubSum(x, mx, n);
-}
-float CountedExpSubSumConst(const float* x, float mx, int64_t n) {
-  Counter_ExpSubSumConst().Increment();
-  return CountedBase()->ExpSubSumConst(x, mx, n);
-}
-void CountedGelu(float* x, int64_t n) {
-  Counter_Gelu().Increment();
-  CountedBase()->Gelu(x, n);
-}
-void CountedRelu(float* x, int64_t n) {
-  Counter_Relu().Increment();
-  CountedBase()->Relu(x, n);
-}
-void CountedTanh(float* x, int64_t n) {
-  Counter_Tanh().Increment();
-  CountedBase()->Tanh(x, n);
-}
-void CountedSigmoid(float* x, int64_t n) {
-  Counter_Sigmoid().Increment();
-  CountedBase()->Sigmoid(x, n);
-}
-void CountedGeluBackward(float* dx, const float* x, const float* g,
-                         int64_t n) {
-  Counter_GeluBackward().Increment();
-  CountedBase()->GeluBackward(dx, x, g, n);
-}
-void CountedTanhBackward(float* dxg, const float* y, int64_t n) {
-  Counter_TanhBackward().Increment();
-  CountedBase()->TanhBackward(dxg, y, n);
-}
-void CountedSigmoidBackward(float* dxg, const float* y, int64_t n) {
-  Counter_SigmoidBackward().Increment();
-  CountedBase()->SigmoidBackward(dxg, y, n);
-}
-void CountedSoftmaxBackwardRow(float* dx, const float* y, const float* dy,
-                               float dot, int64_t n) {
-  Counter_SoftmaxBackwardRow().Increment();
-  CountedBase()->SoftmaxBackwardRow(dx, y, dy, dot, n);
-}
-void CountedLayerNormForwardRow(float* xhat, float* out, const float* x,
-                                float mean, float istd, const float* gamma,
-                                const float* beta, int64_t n) {
-  Counter_LayerNormForwardRow().Increment();
-  CountedBase()->LayerNormForwardRow(xhat, out, x, mean, istd, gamma, beta,
-                                     n);
-}
-void CountedMinMax(const float* x, int64_t n, float* min_out, float* max_out) {
-  Counter_MinMax().Increment();
-  CountedBase()->MinMax(x, n, min_out, max_out);
-}
-void CountedInt8QuantizeRow(uint8_t* q, const float* x, float inv_scale,
-                            int32_t zero_point, int64_t n) {
-  Counter_Int8QuantizeRow().Increment();
-  CountedBase()->Int8QuantizeRow(q, x, inv_scale, zero_point, n);
-}
-void CountedInt8GemmDequant(float* c, const uint8_t* aq, const float* sa,
-                            const int32_t* za, int64_t m, const int8_t* wq,
-                            const float* sw, const int32_t* colsum, int64_t k,
-                            int64_t n) {
-  Counter_Int8GemmDequant().Increment();
-  CountedBase()->Int8GemmDequant(c, aq, sa, za, m, wq, sw, colsum, k, n);
-}
-void CountedTranspose2D(float* out, const float* in, int64_t rows,
-                        int64_t cols) {
-  Counter_Transpose2D().Increment();
-  CountedBase()->Transpose2D(out, in, rows, cols);
-}
-
-// The shim table itself; `backend` mirrors the wrapped base so
-// ActiveBackend()/BackendName stay truthful.
-const KernelTable* CountedKernels(const KernelTable* base) {
-  g_counted_base.store(base, std::memory_order_release);
-  static KernelTable table = [] {
-    KernelTable t;
-    t.Dot = CountedDot;
-    t.Sum = CountedSum;
-    t.SumSq = CountedSumSq;
-    t.CenteredSumSq = CountedCenteredSumSq;
-    t.Max = CountedMax;
-    t.Add = CountedAdd;
-    t.Sub = CountedSub;
-    t.Mul = CountedMul;
-    t.Scale = CountedScale;
-    t.AddScalar = CountedAddScalar;
-    t.Axpy = CountedAxpy;
-    t.MulAdd = CountedMulAdd;
-    t.MatMulBlockAxpy = CountedMatMulBlockAxpy;
-    t.MatMulBlockDot = CountedMatMulBlockDot;
-    t.ExpSubSum = CountedExpSubSum;
-    t.ExpSubSumConst = CountedExpSubSumConst;
-    t.Gelu = CountedGelu;
-    t.Relu = CountedRelu;
-    t.Tanh = CountedTanh;
-    t.Sigmoid = CountedSigmoid;
-    t.GeluBackward = CountedGeluBackward;
-    t.TanhBackward = CountedTanhBackward;
-    t.SigmoidBackward = CountedSigmoidBackward;
-    t.SoftmaxBackwardRow = CountedSoftmaxBackwardRow;
-    t.LayerNormForwardRow = CountedLayerNormForwardRow;
-    t.MinMax = CountedMinMax;
-    t.Int8QuantizeRow = CountedInt8QuantizeRow;
-    t.Int8GemmDequant = CountedInt8GemmDequant;
-    t.Transpose2D = CountedTranspose2D;
-    return t;
-  }();
-  table.backend = base->backend;
-  return &table;
-}
-
 void PublishBackendGauge(const KernelTable* table) {
   metrics::GetGauge("kernels.backend_avx2")
       .Set(table->backend == Backend::kAvx2 ? 1.0 : 0.0);
@@ -311,9 +84,6 @@ const KernelTable* ResolveBackend() {
         (avx2 != nullptr && CpuSupportsAvx2()) ? avx2 : &ScalarKernels();
   }
   PublishBackendGauge(resolved);
-  // Per-kernel call counting only when the metrics registry is live at
-  // resolution time (tests toggle and then ResetBackend()).
-  if (metrics::Enabled()) return CountedKernels(resolved);
   return resolved;
 }
 

@@ -1,5 +1,6 @@
 // Internal: point-in-time snapshot of the in-memory run status, consumed
-// by the /trainz renderer (trainz.cc). Not part of the public surface.
+// by the /trainz renderer (trainz.cc), and the number spelling shared by
+// the event log and /trainz JSON. Not part of the public surface.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +45,11 @@ struct RunStatusSnapshot {
 };
 
 RunStatusSnapshot SnapshotRunStatus();
+
+/// A double as a schema-v1 JSON value: json::NumberToString when finite;
+/// otherwise the string "nan", "inf" or "-inf", so a sentinel-tripping
+/// loss or gradient still serializes into a parseable event.
+std::string JsonDouble(double v);
 
 }  // namespace internal
 }  // namespace train_obs

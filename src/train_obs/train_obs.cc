@@ -12,6 +12,7 @@
 
 #include "train_obs/run_status.h"
 #include "util/atomic_file.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/observability.h"
@@ -41,10 +42,11 @@ void SetFlag(uint32_t flag, bool on) {
   }
 }
 
-double UnixNowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
+std::string UnixNowJson() {
+  return json::NumberToString(
+      std::chrono::duration<double>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
 }
 
 // ---------------------------------------------------------------------------
@@ -68,30 +70,11 @@ void CloseLogLocked(LogState* log) {
   }
 }
 
-void AppendJsonEscaped(std::ostringstream* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out << "\\\""; break;
-      case '\\': *out << "\\\\"; break;
-      case '\n': *out << "\\n"; break;
-      case '\t': *out << "\\t"; break;
-      case '\r': *out << "\\r"; break;
-      default: *out << c;
-    }
-  }
-}
-
-/// JSON numbers must be finite; a sentinel-tripping loss/grad value still
-/// has to serialize into a parseable event, so non-finite doubles render as
-/// strings ("inf" / "-inf" / "nan").
-void AppendJsonDouble(std::ostringstream* out, double v) {
-  if (std::isfinite(v)) {
-    *out << v;
-  } else if (std::isnan(v)) {
-    *out << "\"nan\"";
-  } else {
-    *out << (v > 0 ? "\"inf\"" : "\"-inf\"");
-  }
+void AppendTaskLosses(std::ostringstream* out, double em, double id1,
+                      double id2) {
+  *out << "{\"em\": " << internal::JsonDouble(em)
+       << ", \"id1\": " << internal::JsonDouble(id1)
+       << ", \"id2\": " << internal::JsonDouble(id2) << "}";
 }
 
 void AppendNamedDoubles(
@@ -100,10 +83,8 @@ void AppendNamedDoubles(
   *out << ", \"" << key << "\": {";
   for (size_t i = 0; i < values.size(); ++i) {
     if (i > 0) *out << ", ";
-    *out << '"';
-    AppendJsonEscaped(out, values[i].first);
-    *out << "\": ";
-    AppendJsonDouble(out, values[i].second);
+    *out << '"' << json::Escape(values[i].first)
+         << "\": " << internal::JsonDouble(values[i].second);
   }
   *out << "}";
 }
@@ -120,7 +101,6 @@ void WriteEventLine(const std::string& line) {
 
 std::ostringstream EventHead(const char* type) {
   std::ostringstream out;
-  out.precision(15);
   out << "{\"v\": " << kEventSchemaVersion << ", \"type\": \"" << type
       << '"';
   return out;
@@ -128,48 +108,25 @@ std::ostringstream EventHead(const char* type) {
 
 // ---- resume trimming ----
 
-/// Extracts `"key": <integer>` from an event line written by this file.
-bool FindJsonInt(const std::string& line, const std::string& key,
-                 int64_t* out) {
-  const std::string needle = "\"" + key + "\": ";
-  const size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const char* start = line.c_str() + pos + needle.size();
-  char* end = nullptr;
-  const long long v = std::strtoll(start, &end, 10);
-  if (end == start) return false;
-  *out = v;
-  return true;
-}
-
-bool FindJsonString(const std::string& line, const std::string& key,
-                    std::string* out) {
-  const std::string needle = "\"" + key + "\": \"";
-  const size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const size_t start = pos + needle.size();
-  const size_t stop = line.find('"', start);
-  if (stop == std::string::npos) return false;
-  *out = line.substr(start, stop - start);
-  return true;
-}
-
 /// Resume keeps the prefix of the log the resumed trajectory replays on
 /// top of: step events strictly before the checkpoint's global step, and
 /// epoch-scoped events (epoch/eval/checkpoint) strictly before the resume
 /// epoch. run_start/run_end markers and unparseable lines survive.
 bool KeepLineOnResume(const std::string& line, int64_t resume_step,
                       int64_t resume_epoch) {
-  std::string type;
-  if (!FindJsonString(line, "type", &type)) return true;
-  int64_t v = 0;
-  if (type == "step") {
-    return FindJsonInt(line, "step", &v) ? v < resume_step : true;
+  Result<json::Value> event = json::Parse(line);
+  if (!event.ok()) return true;
+  const json::Value* type = event->Find("type");
+  if (type == nullptr || !type->is_string()) return true;
+  const std::string& t = type->AsString();
+  const bool step_scoped = t == "step";
+  if (!step_scoped && t != "epoch" && t != "eval" && t != "checkpoint") {
+    return true;
   }
-  if (type == "epoch" || type == "eval" || type == "checkpoint") {
-    return FindJsonInt(line, "epoch", &v) ? v < resume_epoch : true;
-  }
-  return true;
+  const json::Value* v = event->Find(step_scoped ? "step" : "epoch");
+  if (v == nullptr || !v->is_number()) return true;
+  return v->AsNumber() <
+         static_cast<double>(step_scoped ? resume_step : resume_epoch);
 }
 
 Status TrimEventLogForResume(const std::string& path, int64_t resume_step,
@@ -355,17 +312,15 @@ Status StartRun(const RunInfo& info) {
     return Status::IOError("cannot open train-events log: " + log.path);
   }
   std::ostringstream out = EventHead("run_start");
-  out << ", \"dataset\": \"";
-  AppendJsonEscaped(&out, info.dataset);
-  out << "\", \"model\": \"";
-  AppendJsonEscaped(&out, info.model);
-  out << "\", \"max_epochs\": " << info.max_epochs
+  out << ", \"dataset\": \"" << json::Escape(info.dataset)
+      << "\", \"model\": \"" << json::Escape(info.model)
+      << "\", \"max_epochs\": " << info.max_epochs
       << ", \"train_size\": " << info.train_size << ", \"aux_heads\": "
       << (info.has_aux_heads ? "true" : "false")
       << ", \"resumed\": " << (info.resumed ? "true" : "false")
       << ", \"resume_step\": " << info.resume_step
       << ", \"resume_epoch\": " << info.resume_epoch
-      << ", \"ts_unix\": " << UnixNowSeconds() << "}\n";
+      << ", \"ts_unix\": " << UnixNowJson() << "}\n";
   const std::string line = out.str();
   std::fwrite(line.data(), 1, line.size(), log.file);
   std::fflush(log.file);
@@ -384,15 +339,13 @@ void EndRun(double best_valid_f1, double test_f1, int64_t epochs_ran) {
                       .count();
   }
   std::ostringstream out = EventHead("run_end");
-  out << ", \"epochs_ran\": " << epochs_ran << ", \"best_valid_f1\": ";
-  AppendJsonDouble(&out, best_valid_f1);
-  out << ", \"test_f1\": ";
-  AppendJsonDouble(&out, test_f1);
-  out << ", \"wall_seconds\": ";
-  AppendJsonDouble(&out, run_seconds);
-  out << ", \"nonfinite_losses\": " << NonfiniteLossCounter().Value()
+  out << ", \"epochs_ran\": " << epochs_ran
+      << ", \"best_valid_f1\": " << internal::JsonDouble(best_valid_f1)
+      << ", \"test_f1\": " << internal::JsonDouble(test_f1)
+      << ", \"wall_seconds\": " << internal::JsonDouble(run_seconds)
+      << ", \"nonfinite_losses\": " << NonfiniteLossCounter().Value()
       << ", \"nonfinite_grads\": " << NonfiniteGradCounter().Value()
-      << ", \"ts_unix\": " << UnixNowSeconds() << "}\n";
+      << ", \"ts_unix\": " << UnixNowJson() << "}\n";
   WriteEventLine(out.str());
   LogState& log = GetLogState();
   std::lock_guard<std::mutex> lock(log.mutex);
@@ -436,25 +389,17 @@ void LogStep(const StepEvent& event) {
   if (!EventLogConfigured()) return;
   std::ostringstream out = EventHead("step");
   out << ", \"step\": " << event.step << ", \"epoch\": " << event.epoch
-      << ", \"loss\": {\"em\": ";
-  AppendJsonDouble(&out, event.loss_em);
-  out << ", \"id1\": ";
-  AppendJsonDouble(&out, event.loss_id1);
-  out << ", \"id2\": ";
-  AppendJsonDouble(&out, event.loss_id2);
-  out << "}, \"examples\": {\"em\": " << event.n_em
+      << ", \"loss\": ";
+  AppendTaskLosses(&out, event.loss_em, event.loss_id1, event.loss_id2);
+  out << ", \"examples\": {\"em\": " << event.n_em
       << ", \"id1\": " << event.n_id1 << ", \"id2\": " << event.n_id2
-      << "}, \"lr\": ";
-  AppendJsonDouble(&out, event.lr);
-  out << ", \"grad_norm\": ";
-  AppendJsonDouble(&out, event.grad_norm);
-  out << ", \"update_ratio\": ";
-  AppendJsonDouble(&out, event.update_ratio);
-  out << ", \"step_ms\": ";
-  AppendJsonDouble(&out, event.step_ms);
+      << "}, \"lr\": " << internal::JsonDouble(event.lr)
+      << ", \"grad_norm\": " << internal::JsonDouble(event.grad_norm)
+      << ", \"update_ratio\": " << internal::JsonDouble(event.update_ratio)
+      << ", \"step_ms\": " << internal::JsonDouble(event.step_ms);
   AppendNamedDoubles(&out, "grad_norms", event.module_grad_norms);
   AppendNamedDoubles(&out, "update_ratios", event.module_update_ratios);
-  out << ", \"ts_unix\": " << UnixNowSeconds() << "}\n";
+  out << ", \"ts_unix\": " << UnixNowJson() << "}\n";
   WriteEventLine(out.str());
 }
 
@@ -479,19 +424,14 @@ void LogEpoch(const EpochEvent& event) {
   if (!EventLogConfigured()) return;
   std::ostringstream out = EventHead("epoch");
   out << ", \"epoch\": " << event.epoch << ", \"step\": " << event.step
-      << ", \"loss\": {\"em\": ";
-  AppendJsonDouble(&out, event.loss_em);
-  out << ", \"id1\": ";
-  AppendJsonDouble(&out, event.loss_id1);
-  out << ", \"id2\": ";
-  AppendJsonDouble(&out, event.loss_id2);
-  out << "}, \"examples\": {\"em\": " << event.n_em
+      << ", \"loss\": ";
+  AppendTaskLosses(&out, event.loss_em, event.loss_id1, event.loss_id2);
+  out << ", \"examples\": {\"em\": " << event.n_em
       << ", \"id1\": " << event.n_id1 << ", \"id2\": " << event.n_id2
-      << "}, \"epoch_seconds\": ";
-  AppendJsonDouble(&out, event.epoch_seconds);
-  out << ", \"heap_allocs\": " << event.heap_allocs
+      << "}, \"epoch_seconds\": " << internal::JsonDouble(event.epoch_seconds)
+      << ", \"heap_allocs\": " << event.heap_allocs
       << ", \"parallel_for_calls\": " << event.parallel_for_calls
-      << ", \"ts_unix\": " << UnixNowSeconds() << "}\n";
+      << ", \"ts_unix\": " << UnixNowJson() << "}\n";
   WriteEventLine(out.str());
 }
 
@@ -506,20 +446,14 @@ void LogEval(const EvalEvent& event) {
   if (!EventLogConfigured()) return;
   std::ostringstream out = EventHead("eval");
   out << ", \"epoch\": " << event.epoch << ", \"step\": " << event.step
-      << ", \"split\": \"";
-  AppendJsonEscaped(&out, event.split);
-  out << "\", \"f1\": ";
-  AppendJsonDouble(&out, event.f1);
-  out << ", \"precision\": ";
-  AppendJsonDouble(&out, event.precision);
-  out << ", \"recall\": ";
-  AppendJsonDouble(&out, event.recall);
-  out << ", \"id1_accuracy\": ";
-  AppendJsonDouble(&out, event.id1_accuracy);
-  out << ", \"id2_accuracy\": ";
-  AppendJsonDouble(&out, event.id2_accuracy);
-  out << ", \"improved\": " << (event.improved ? "true" : "false")
-      << ", \"ts_unix\": " << UnixNowSeconds() << "}\n";
+      << ", \"split\": \"" << json::Escape(event.split)
+      << "\", \"f1\": " << internal::JsonDouble(event.f1)
+      << ", \"precision\": " << internal::JsonDouble(event.precision)
+      << ", \"recall\": " << internal::JsonDouble(event.recall)
+      << ", \"id1_accuracy\": " << internal::JsonDouble(event.id1_accuracy)
+      << ", \"id2_accuracy\": " << internal::JsonDouble(event.id2_accuracy)
+      << ", \"improved\": " << (event.improved ? "true" : "false")
+      << ", \"ts_unix\": " << UnixNowJson() << "}\n";
   WriteEventLine(out.str());
 }
 
@@ -527,11 +461,10 @@ void LogCheckpoint(const CheckpointEvent& event) {
   if (!EventLogConfigured()) return;
   std::ostringstream out = EventHead("checkpoint");
   out << ", \"epoch\": " << event.epoch << ", \"step\": " << event.step
-      << ", \"path\": \"";
-  AppendJsonEscaped(&out, event.path);
-  out << "\", \"bytes\": " << event.bytes << ", \"write_ms\": ";
-  AppendJsonDouble(&out, event.write_ms);
-  out << ", \"ts_unix\": " << UnixNowSeconds() << "}\n";
+      << ", \"path\": \"" << json::Escape(event.path)
+      << "\", \"bytes\": " << event.bytes
+      << ", \"write_ms\": " << internal::JsonDouble(event.write_ms)
+      << ", \"ts_unix\": " << UnixNowJson() << "}\n";
   WriteEventLine(out.str());
 }
 
@@ -620,9 +553,8 @@ void NanAbortNow(const std::string& what, int64_t step) {
   EMBA_LOG(ERROR) << "nan-abort: non-finite value in " << what << " at step "
                   << step << " — failing fast (--nan-abort)";
   std::ostringstream out = EventHead("abort");
-  out << ", \"step\": " << step << ", \"what\": \"";
-  AppendJsonEscaped(&out, what);
-  out << "\", \"ts_unix\": " << UnixNowSeconds() << "}\n";
+  out << ", \"step\": " << step << ", \"what\": \"" << json::Escape(what)
+      << "\", \"ts_unix\": " << UnixNowJson() << "}\n";
   WriteEventLine(out.str());
   {
     LogState& log = GetLogState();
@@ -707,6 +639,12 @@ void ObserveAttentionRows(int family, const Tensor& rows) {
 // /trainz wiring + snapshot
 
 namespace internal {
+
+std::string JsonDouble(double v) {
+  if (std::isfinite(v)) return json::NumberToString(v);
+  if (std::isnan(v)) return "\"nan\"";
+  return v > 0 ? "\"inf\"" : "\"-inf\"";
+}
 
 RunStatusSnapshot SnapshotRunStatus() {
   RunStatusSnapshot snap;

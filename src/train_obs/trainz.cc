@@ -8,6 +8,7 @@
 
 #include "train_obs/run_status.h"
 #include "train_obs/train_obs.h"
+#include "util/json.h"
 #include "util/observability.h"
 
 namespace emba {
@@ -29,35 +30,12 @@ void AppendHtmlEscaped(std::ostringstream* out, const std::string& s) {
   }
 }
 
-void AppendJsonEscaped(std::ostringstream* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out << "\\\""; break;
-      case '\\': *out << "\\\\"; break;
-      case '\n': *out << "\\n"; break;
-      case '\t': *out << "\\t"; break;
-      case '\r': *out << "\\r"; break;
-      default: *out << c;
-    }
-  }
-}
-
-void AppendJsonDouble(std::ostringstream* out, double v) {
-  if (std::isfinite(v)) {
-    *out << v;
-  } else if (std::isnan(v)) {
-    *out << "\"nan\"";
-  } else {
-    *out << (v > 0 ? "\"inf\"" : "\"-inf\"");
-  }
-}
-
 void AppendJsonDoubleArray(std::ostringstream* out,
                            const std::vector<double>& values) {
   *out << '[';
   for (size_t i = 0; i < values.size(); ++i) {
     if (i > 0) *out << ", ";
-    AppendJsonDouble(out, values[i]);
+    *out << internal::JsonDouble(values[i]);
   }
   *out << ']';
 }
@@ -129,29 +107,22 @@ void AppendTaskRowHtml(std::ostringstream* out, const char* task,
 
 http::HttpResponse RenderJson(const RunStatusSnapshot& snap) {
   std::ostringstream out;
-  out.precision(15);
   out << "{\n  \"started\": " << (snap.started ? "true" : "false")
       << ",\n  \"finished\": " << (snap.finished ? "true" : "false");
   if (snap.started) {
-    out << ",\n  \"run\": {\"dataset\": \"";
-    AppendJsonEscaped(&out, snap.info.dataset);
-    out << "\", \"model\": \"";
-    AppendJsonEscaped(&out, snap.info.model);
-    out << "\", \"max_epochs\": " << snap.info.max_epochs
+    out << ",\n  \"run\": {\"dataset\": \"" << json::Escape(snap.info.dataset)
+        << "\", \"model\": \"" << json::Escape(snap.info.model)
+        << "\", \"max_epochs\": " << snap.info.max_epochs
         << ", \"train_size\": " << snap.info.train_size
         << ", \"aux_heads\": " << (snap.info.has_aux_heads ? "true" : "false")
         << ", \"resumed\": " << (snap.info.resumed ? "true" : "false")
         << "}";
     out << ",\n  \"epoch\": " << snap.epoch << ",\n  \"step\": " << snap.step
-        << ",\n  \"lr\": ";
-    AppendJsonDouble(&out, snap.lr);
-    out << ",\n  \"grad_norm\": ";
-    AppendJsonDouble(&out, snap.grad_norm);
-    out << ",\n  \"update_ratio\": ";
-    AppendJsonDouble(&out, snap.update_ratio);
-    out << ",\n  \"run_seconds\": ";
-    AppendJsonDouble(&out, snap.run_seconds);
-    out << ",\n  \"epoch_loss\": {\"em\": ";
+        << ",\n  \"lr\": " << internal::JsonDouble(snap.lr)
+        << ",\n  \"grad_norm\": " << internal::JsonDouble(snap.grad_norm)
+        << ",\n  \"update_ratio\": " << internal::JsonDouble(snap.update_ratio)
+        << ",\n  \"run_seconds\": " << internal::JsonDouble(snap.run_seconds)
+        << ",\n  \"epoch_loss\": {\"em\": ";
     AppendJsonDoubleArray(&out, snap.epoch_loss_em);
     out << ", \"id1\": ";
     AppendJsonDoubleArray(&out, snap.epoch_loss_id1);
@@ -185,25 +156,21 @@ http::HttpResponse RenderJson(const RunStatusSnapshot& snap) {
   out << ",\n  \"sentinels\": {\"nonfinite_losses\": "
       << snap.nonfinite_losses
       << ", \"nonfinite_grads\": " << snap.nonfinite_grads
-      << ", \"last_offender\": \"";
-  AppendJsonEscaped(&out, snap.last_offender);
-  out << "\", \"nan_abort\": " << (snap.nan_abort ? "true" : "false") << "}";
+      << ", \"last_offender\": \"" << json::Escape(snap.last_offender)
+      << "\", \"nan_abort\": " << (snap.nan_abort ? "true" : "false") << "}";
   out << ",\n  \"attn_stats\": " << (snap.attn_stats ? "true" : "false");
   out << ",\n  \"event_log\": ";
   if (snap.event_log_path.empty()) {
     out << "null";
   } else {
-    out << '"';
-    AppendJsonEscaped(&out, snap.event_log_path);
-    out << '"';
+    out << '"' << json::Escape(snap.event_log_path) << '"';
   }
   const LastCheckpointInfo ckpt = GetLastCheckpoint();
   out << ",\n  \"last_checkpoint\": ";
   if (ckpt.valid) {
-    out << "{\"path\": \"";
-    AppendJsonEscaped(&out, ckpt.path);
-    out << "\", \"epoch\": " << ckpt.epoch
-        << ", \"unix_seconds\": " << ckpt.unix_seconds << "}";
+    out << "{\"path\": \"" << json::Escape(ckpt.path)
+        << "\", \"epoch\": " << ckpt.epoch << ", \"unix_seconds\": "
+        << internal::JsonDouble(ckpt.unix_seconds) << "}";
   } else {
     out << "null";
   }

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "util/atomic_file.h"
+#include "util/json.h"
 
 namespace emba {
 namespace metrics {
@@ -212,31 +213,6 @@ Histogram& Registry::GetHistogram(const std::string& name,
   return *slot;
 }
 
-namespace {
-
-void AppendJsonNumber(std::ostringstream* out, double v) {
-  // JSON has no inf/nan; clamp to null (never expected from our metrics).
-  if (!std::isfinite(v)) {
-    *out << "null";
-    return;
-  }
-  std::ostringstream tmp;
-  tmp.precision(12);
-  tmp << v;
-  *out << tmp.str();
-}
-
-void AppendQuoted(std::ostringstream* out, const std::string& s) {
-  *out << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') *out << '\\';
-    *out << c;
-  }
-  *out << '"';
-}
-
-}  // namespace
-
 std::string Registry::ToJson() const {
   Impl& i = impl();
   std::lock_guard<std::mutex> lock(i.mutex);
@@ -246,50 +222,41 @@ std::string Registry::ToJson() const {
   for (const auto& [name, counter] : i.counters) {
     out << (first ? "\n    " : ",\n    ");
     first = false;
-    AppendQuoted(&out, name);
-    out << ": " << counter->Value();
+    out << '"' << json::Escape(name) << "\": " << counter->Value();
   }
   out << (i.counters.empty() ? "}" : "\n  }") << ",\n  \"gauges\": {";
   first = true;
   for (const auto& [name, gauge] : i.gauges) {
     out << (first ? "\n    " : ",\n    ");
     first = false;
-    AppendQuoted(&out, name);
-    out << ": ";
-    AppendJsonNumber(&out, gauge->Value());
+    out << '"' << json::Escape(name)
+        << "\": " << json::NumberToString(gauge->Value());
   }
   out << (i.gauges.empty() ? "}" : "\n  }") << ",\n  \"histograms\": {";
   first = true;
   for (const auto& [name, histogram] : i.histograms) {
     out << (first ? "\n    " : ",\n    ");
     first = false;
-    AppendQuoted(&out, name);
     const Histogram::Snapshot snap = histogram->GetSnapshot();
-    out << ": {\"count\": " << snap.count << ", \"sum\": ";
-    AppendJsonNumber(&out, snap.sum);
-    out << ", \"mean\": ";
-    AppendJsonNumber(&out, snap.count > 0
-                               ? snap.sum / static_cast<double>(snap.count)
-                               : 0.0);
-    out << ", \"p50\": ";
-    AppendJsonNumber(&out, snap.p50);
-    out << ", \"p95\": ";
-    AppendJsonNumber(&out, snap.p95);
-    out << ", \"p99\": ";
-    AppendJsonNumber(&out, snap.p99);
-    out << ", \"buckets\": [";
+    const double mean =
+        snap.count > 0 ? snap.sum / static_cast<double>(snap.count) : 0.0;
+    out << '"' << json::Escape(name) << "\": {\"count\": " << snap.count
+        << ", \"sum\": " << json::NumberToString(snap.sum)
+        << ", \"mean\": " << json::NumberToString(mean)
+        << ", \"p50\": " << json::NumberToString(snap.p50)
+        << ", \"p95\": " << json::NumberToString(snap.p95)
+        << ", \"p99\": " << json::NumberToString(snap.p99)
+        << ", \"buckets\": [";
     bool first_bucket = true;
     for (size_t b = 0; b < snap.bucket_counts.size(); ++b) {
       if (snap.bucket_counts[b] == 0) continue;  // sparse export
       if (!first_bucket) out << ", ";
       first_bucket = false;
-      out << "{\"le\": ";
-      if (b < snap.bounds.size()) {
-        AppendJsonNumber(&out, snap.bounds[b]);
-      } else {
-        out << "\"inf\"";
-      }
-      out << ", \"count\": " << snap.bucket_counts[b] << "}";
+      // The overflow bucket's bound is the string "inf".
+      out << "{\"le\": "
+          << (b < snap.bounds.size() ? json::NumberToString(snap.bounds[b])
+                                     : "\"inf\"")
+          << ", \"count\": " << snap.bucket_counts[b] << "}";
     }
     out << "]}";
   }

@@ -1,17 +1,16 @@
 #include "util/observability.h"
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "util/http_server.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/profiler.h"
@@ -145,19 +144,6 @@ void ResetTrainStateForTest() {
 
 namespace {
 
-void AppendJsonEscaped(std::ostringstream* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out << "\\\""; break;
-      case '\\': *out << "\\\\"; break;
-      case '\n': *out << "\\n"; break;
-      case '\t': *out << "\\t"; break;
-      case '\r': *out << "\\r"; break;
-      default: *out << c;
-    }
-  }
-}
-
 void AppendHtmlEscaped(std::ostringstream* out, const std::string& s) {
   for (char c : s) {
     switch (c) {
@@ -171,29 +157,17 @@ void AppendHtmlEscaped(std::ostringstream* out, const std::string& s) {
 
 std::string ArgValueToString(const trace::EventSnapshot::Arg& arg,
                              bool json_quote_strings) {
-  std::ostringstream out;
   switch (arg.type) {
     case trace::SpanArg::Type::kInt64:
-      out << arg.i;
-      break;
+      return std::to_string(arg.i);
     case trace::SpanArg::Type::kDouble:
-      out.precision(12);
-      out << arg.d;
-      break;
+      return json::NumberToString(arg.d);
     case trace::SpanArg::Type::kString:
-      if (json_quote_strings) {
-        out << '"';
-        AppendJsonEscaped(&out, arg.s);
-        out << '"';
-      } else {
-        out << arg.s;
-      }
-      break;
+      return json_quote_strings ? '"' + json::Escape(arg.s) + '"' : arg.s;
     case trace::SpanArg::Type::kNone:
-      out << "null";
       break;
   }
-  return out.str();
+  return "null";
 }
 
 // Extra endpoints mounted by higher layers (RegisterObservabilityEndpoint).
@@ -274,16 +248,10 @@ http::HttpResponse HandleHealthz() {
   // work here"; everything else (including starting) answers 200.
   resp.status = state == HealthState::kDraining ? 503 : 200;
   std::ostringstream out;
-  out.precision(3);
-  out << std::fixed;
   out << "{\"state\": \"" << HealthStateName(state) << "\", "
-      << "\"heartbeat_age_seconds\": ";
-  if (beat_age < 0) {
-    out << "null";
-  } else {
-    out << beat_age;
-  }
-  out << ", \"uptime_seconds\": " << stats.uptime_seconds
+      << "\"heartbeat_age_seconds\": "
+      << (beat_age < 0 ? "null" : json::NumberToString(beat_age))
+      << ", \"uptime_seconds\": " << json::NumberToString(stats.uptime_seconds)
       << ", \"rss_bytes\": " << stats.rss_bytes
       << ", \"threads\": " << stats.threads;
   // Training progress + last checkpoint (null until a trainer publishes
@@ -297,10 +265,9 @@ http::HttpResponse HandleHealthz() {
   }
   const LastCheckpointInfo ckpt = GetLastCheckpoint();
   if (ckpt.valid) {
-    out << ", \"last_checkpoint\": {\"path\": \"";
-    AppendJsonEscaped(&out, ckpt.path);
-    out << "\", \"epoch\": " << ckpt.epoch
-        << ", \"unix_seconds\": " << ckpt.unix_seconds << "}";
+    out << ", \"last_checkpoint\": {\"path\": \"" << json::Escape(ckpt.path)
+        << "\", \"epoch\": " << ckpt.epoch << ", \"unix_seconds\": "
+        << json::NumberToString(ckpt.unix_seconds) << "}";
   } else {
     out << ", \"last_checkpoint\": null";
   }
@@ -323,17 +290,14 @@ http::HttpResponse HandleTracez(const http::HttpRequest& req) {
         << ", \"events\": [";
     for (size_t i = 0; i < events.size(); ++i) {
       const trace::EventSnapshot& e = events[i];
-      out << (i == 0 ? "\n" : ",\n") << "  {\"name\": \"";
-      AppendJsonEscaped(&out, e.name);
-      out << "\", \"tid\": " << e.tid << ", \"ts_ns\": " << e.ts_ns
-          << ", \"dur_ns\": " << e.dur_ns;
+      out << (i == 0 ? "\n" : ",\n") << "  {\"name\": \""
+          << json::Escape(e.name) << "\", \"tid\": " << e.tid
+          << ", \"ts_ns\": " << e.ts_ns << ", \"dur_ns\": " << e.dur_ns;
       if (!e.args.empty()) {
         out << ", \"args\": {";
         for (size_t a = 0; a < e.args.size(); ++a) {
           if (a > 0) out << ", ";
-          out << '"';
-          AppendJsonEscaped(&out, e.args[a].name);
-          out << "\": "
+          out << '"' << json::Escape(e.args[a].name) << "\": "
               << ArgValueToString(e.args[a], /*json_quote_strings=*/true);
         }
         out << "}";
@@ -416,25 +380,26 @@ http::HttpResponse HandleProfilez(const http::HttpRequest& req) {
 
 void AppendRecordJson(std::ostringstream* out,
                       const rtrace::RequestRecord& rec) {
-  *out << "{\"trace_id\": \"" << rec.trace_id_hex << "\", \"endpoint\": \"";
-  AppendJsonEscaped(out, rec.endpoint);
-  *out << "\", \"status\": " << rec.status
+  *out << "{\"trace_id\": \"" << rec.trace_id_hex << "\", \"endpoint\": \""
+       << json::Escape(rec.endpoint) << "\", \"status\": " << rec.status
        << ", \"in_flight\": " << (rec.in_flight ? "true" : "false")
        << ", \"error\": " << (rec.error ? "true" : "false")
-       << ", \"start_unix_seconds\": " << rec.start_unix_seconds
-       << ", \"e2e_ms\": " << rec.e2e_ms << ", \"stages_ms\": {";
+       << ", \"start_unix_seconds\": "
+       << json::NumberToString(rec.start_unix_seconds)
+       << ", \"e2e_ms\": " << json::NumberToString(rec.e2e_ms)
+       << ", \"stages_ms\": {";
   for (int s = 0; s < rtrace::kStageCount; ++s) {
     if (s > 0) *out << ", ";
     *out << "\"" << rtrace::StageName(static_cast<rtrace::Stage>(s))
-         << "\": " << rec.stage_ms[s];
+         << "\": " << json::NumberToString(rec.stage_ms[s]);
   }
-  *out << ", \"other\": " << rec.other_ms << "}";
+  *out << ", \"other\": " << json::NumberToString(rec.other_ms) << "}";
   if (rec.has_batch) {
     *out << ", \"batch\": {\"id\": " << rec.batch_id
-         << ", \"size\": " << rec.batch_size << ", \"fire_reason\": \"";
-    AppendJsonEscaped(out, rec.fire_reason);
-    *out << "\", \"compute_ms\": " << rec.batch_compute_ms
-         << ", \"forward_ms\": " << rec.batch_forward_ms
+         << ", \"size\": " << rec.batch_size << ", \"fire_reason\": \""
+         << json::Escape(rec.fire_reason)
+         << "\", \"compute_ms\": " << json::NumberToString(rec.batch_compute_ms)
+         << ", \"forward_ms\": " << json::NumberToString(rec.batch_forward_ms)
          << ", \"int8\": " << (rec.int8_active ? "true" : "false")
          << ", \"sibling_trace_ids\": [";
     for (size_t i = 0; i < rec.sibling_trace_ids.size(); ++i) {
@@ -473,8 +438,6 @@ void AppendRecordHtmlRow(std::ostringstream* out,
 http::HttpResponse HandleRpcz(const http::HttpRequest& req) {
   http::HttpResponse resp;
   std::ostringstream out;
-  out.precision(3);
-  out << std::fixed;
 
   // Single-request lookup: JSON always (the machine-facing contract the
   // serve tests exercise). 404 when the id was never retained — the
@@ -485,8 +448,8 @@ http::HttpResponse HandleRpcz(const http::HttpRequest& req) {
     rtrace::RequestRecord rec;
     if (!rtrace::FindRetainedHex(trace_id, &rec)) {
       resp.status = 404;
-      resp.body = "{\"error\": \"trace id not retained: " + trace_id +
-                  "\"}\n";
+      resp.body = "{\"error\": \"trace id not retained: " +
+                  json::Escape(trace_id) + "\"}\n";
       return resp;
     }
     AppendRecordJson(&out, rec);
@@ -515,6 +478,8 @@ http::HttpResponse HandleRpcz(const http::HttpRequest& req) {
     out << (retained.empty() ? "]" : "\n]") << "}\n";
   } else {
     resp.content_type = "text/html; charset=utf-8";
+    out.precision(3);
+    out << std::fixed;
     out << "<!doctype html><title>emba /rpcz</title><h1>/rpcz</h1>"
         << "<p>request tracing " << (rtrace::Enabled() ? "on" : "off")
         << ", " << in_flight.size() << " in flight, " << retained.size()
@@ -553,9 +518,9 @@ http::HttpResponse HandleRpcz(const http::HttpRequest& req) {
 const char* const kEnvKnobs[] = {
     "EMBA_SIMD",         "EMBA_INT8",        "EMBA_ARENA",
     "EMBA_ARENA_BYTES",  "EMBA_NUM_THREADS", "EMBA_METRICS_OUT",
-    "EMBA_TRACE_OUT",    "EMBA_OBS_PORT",    "EMBA_METRICS_EVERY",
-    "EMBA_RTRACE",       "EMBA_ACCESS_LOG",  "EMBA_RPCZ_K",
-    "EMBA_TRAIN_EVENTS", "EMBA_NAN_ABORT",   "EMBA_ATTN_STATS",
+    "EMBA_TRACE_OUT",    "EMBA_OBS_PORT",    "EMBA_RTRACE",
+    "EMBA_ACCESS_LOG",   "EMBA_RPCZ_K",      "EMBA_TRAIN_EVENTS",
+    "EMBA_NAN_ABORT",    "EMBA_ATTN_STATS",
 };
 
 struct BuildzSections {
@@ -573,26 +538,23 @@ http::HttpResponse HandleBuildz() {
   http::HttpResponse resp;
   resp.content_type = "application/json";
   std::ostringstream out;
-  out.precision(3);
-  out << std::fixed;
   const metrics::ProcessStats stats = metrics::GetProcessStats();
   const double now_unix =
       std::chrono::duration<double>(
           std::chrono::system_clock::now().time_since_epoch())
           .count();
-  out << "{\"git_sha\": \"" << EMBA_GIT_SHA << "\", \"compiler\": \"";
-  AppendJsonEscaped(&out, __VERSION__);
-  out << "\", \"start_time_unix_seconds\": "
-      << (now_unix - stats.uptime_seconds)
-      << ", \"uptime_seconds\": " << stats.uptime_seconds << ", \"env\": {";
+  out << "{\"git_sha\": \"" << json::Escape(EMBA_GIT_SHA)
+      << "\", \"compiler\": \"" << json::Escape(__VERSION__)
+      << "\", \"start_time_unix_seconds\": "
+      << json::NumberToString(now_unix - stats.uptime_seconds)
+      << ", \"uptime_seconds\": " << json::NumberToString(stats.uptime_seconds)
+      << ", \"env\": {";
   bool first = true;
   for (const char* knob : kEnvKnobs) {
     out << (first ? "" : ", ") << "\"" << knob << "\": ";
     first = false;
     if (const char* value = std::getenv(knob)) {
-      out << "\"";
-      AppendJsonEscaped(&out, value);
-      out << "\"";
+      out << '"' << json::Escape(value) << '"';
     } else {
       out << "null";
     }
@@ -602,11 +564,8 @@ http::HttpResponse HandleBuildz() {
     BuildzSections& sections = GetBuildzSections();
     std::lock_guard<std::mutex> lock(sections.mutex);
     for (const auto& entry : sections.providers) {
-      out << ", \"";
-      AppendJsonEscaped(&out, entry.first);
-      out << "\": \"";
-      AppendJsonEscaped(&out, entry.second());
-      out << "\"";
+      out << ", \"" << json::Escape(entry.first) << "\": \""
+          << json::Escape(entry.second()) << '"';
     }
   }
   out << "}\n";
@@ -731,79 +690,6 @@ int ObservabilityServerPort() {
 }
 
 // ---------------------------------------------------------------------------
-// Periodic metrics flush
-
-namespace {
-
-struct PeriodicFlusher {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool stop = false;
-  std::thread thread;
-};
-
-std::mutex g_flusher_mutex;
-std::unique_ptr<PeriodicFlusher> g_flusher;
-
-void StopPeriodicLocked() {
-  if (g_flusher == nullptr) return;
-  {
-    std::lock_guard<std::mutex> lock(g_flusher->mutex);
-    g_flusher->stop = true;
-  }
-  g_flusher->cv.notify_all();
-  if (g_flusher->thread.joinable()) g_flusher->thread.join();
-  g_flusher.reset();
-}
-
-}  // namespace
-
-Status StartPeriodicMetricsFlush(double seconds, const std::string& path) {
-  if (!(seconds > 0.0)) {
-    return Status::Invalid("flush interval must be > 0 seconds, got " +
-                           std::to_string(seconds));
-  }
-  std::string target = path.empty() ? metrics::MetricsOutputPath() : path;
-  if (target.empty()) {
-    return Status::FailedPrecondition(
-        "periodic metrics flush needs an output path (--metrics-out / "
-        "EMBA_METRICS_OUT or an explicit path)");
-  }
-  metrics::SetMetricsOutputPath(target);
-  metrics::SetEnabled(true);
-  RegisterFlushAtExit();
-
-  std::lock_guard<std::mutex> lock(g_flusher_mutex);
-  StopPeriodicLocked();
-  g_flusher = std::make_unique<PeriodicFlusher>();
-  PeriodicFlusher* flusher = g_flusher.get();
-  const auto interval = std::chrono::duration<double>(seconds);
-  g_flusher->thread = std::thread([flusher, interval, target] {
-    std::unique_lock<std::mutex> lock(flusher->mutex);
-    while (!flusher->cv.wait_for(lock, interval,
-                                 [flusher] { return flusher->stop; })) {
-      lock.unlock();
-      Status status = metrics::DumpMetricsJson(target);
-      if (!status.ok()) {
-        EMBA_LOG(WARN) << "periodic metrics flush failed: " << status;
-      }
-      lock.lock();
-    }
-  });
-  return Status::OK();
-}
-
-void StopPeriodicMetricsFlush() {
-  std::lock_guard<std::mutex> lock(g_flusher_mutex);
-  StopPeriodicLocked();
-}
-
-bool PeriodicMetricsFlushRunning() {
-  std::lock_guard<std::mutex> lock(g_flusher_mutex);
-  return g_flusher != nullptr;
-}
-
-// ---------------------------------------------------------------------------
 // Init / flush
 
 void InitObservabilityFromEnv() {
@@ -827,21 +713,6 @@ void InitObservabilityFromEnv() {
         Status status = StartObservabilityServer(static_cast<int>(port));
         if (!status.ok()) {
           EMBA_LOG(WARN) << "EMBA_OBS_PORT server start failed: " << status;
-        }
-      }
-    }
-  }
-  if (const char* env = std::getenv("EMBA_METRICS_EVERY")) {
-    if (env[0] != '\0') {
-      char* end = nullptr;
-      const double seconds = std::strtod(env, &end);
-      if (end == env || *end != '\0' || !(seconds > 0.0)) {
-        EMBA_LOG(WARN) << "ignoring bad EMBA_METRICS_EVERY value: " << env;
-      } else {
-        Status status = StartPeriodicMetricsFlush(seconds);
-        if (!status.ok()) {
-          EMBA_LOG(WARN) << "EMBA_METRICS_EVERY flush start failed: "
-                         << status;
         }
       }
     }

@@ -1,9 +1,8 @@
 // One-call wiring of the metrics registry (util/metrics), the span tracer
 // (util/trace) and the live observability server (util/http_server) for
-// binaries: reads EMBA_METRICS_OUT / EMBA_TRACE_OUT / EMBA_OBS_PORT /
-// EMBA_METRICS_EVERY, registers an atexit flush, and offers explicit
-// overrides for CLI flags (--metrics-out / --trace-out / --serve-obs /
-// --metrics-every).
+// binaries: reads EMBA_METRICS_OUT / EMBA_TRACE_OUT / EMBA_OBS_PORT,
+// registers an atexit flush, and offers explicit overrides for CLI flags
+// (--metrics-out / --trace-out / --serve-obs).
 //
 // Live endpoints (DESIGN.md §11 has the full table):
 //   /              tiny HTML index linking the endpoints below
@@ -19,10 +18,9 @@
 //                  start time, EMBA_* knobs, plus sections registered by
 //                  higher layers (SIMD backend, int8 mode, arena)
 //
-// Everything here is opt-in: with no server started and no flush interval
-// configured, no thread is spawned, no socket is opened, and the hot-path
-// cost of metrics/trace instrumentation is exactly what it was before this
-// header existed.
+// Everything here is opt-in: with no server started, no thread is spawned,
+// no socket is opened, and the hot-path cost of metrics/trace
+// instrumentation is exactly what it was before this header existed.
 #pragma once
 
 #include <cstdint>
@@ -35,10 +33,10 @@
 namespace emba {
 
 /// Applies EMBA_METRICS_OUT / EMBA_TRACE_OUT (enabling the respective
-/// subsystem when set), EMBA_OBS_PORT (starting the observability server)
-/// and EMBA_METRICS_EVERY (starting the periodic metrics flush), and
-/// registers FlushObservability with atexit, so every exit path — including
-/// Fail()-style early returns — still writes the configured files.
+/// subsystem when set) and EMBA_OBS_PORT (starting the observability
+/// server), and registers FlushObservability with atexit, so every exit
+/// path — including Fail()-style early returns — still writes the
+/// configured files.
 /// Malformed env values log a warning and are ignored (env wiring must not
 /// abort a training run). Idempotent.
 void InitObservabilityFromEnv();
@@ -150,19 +148,5 @@ void AddBuildzSection(const std::string& key,
 void RegisterObservabilityEndpoint(
     const std::string& path,
     std::function<http::HttpResponse(const http::HttpRequest&)> handler);
-
-// ---------------------------------------------------------------------------
-// Periodic metrics flush (headless runs)
-
-/// Re-writes the metrics JSON (atomic replace, util/atomic_file) every
-/// `seconds` to `path` — or to the already-configured metrics output path
-/// when `path` is empty. Invalid intervals (<= 0) are rejected. One flusher
-/// per process; restarts replace the previous interval.
-Status StartPeriodicMetricsFlush(double seconds, const std::string& path = "");
-
-/// Stops the periodic flusher thread, if any. Idempotent.
-void StopPeriodicMetricsFlush();
-
-bool PeriodicMetricsFlushRunning();
 
 }  // namespace emba

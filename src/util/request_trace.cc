@@ -8,6 +8,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 
@@ -83,49 +84,24 @@ std::atomic<uint64_t> g_next_batch_id{1};
 
 thread_local BatchSpan* t_batch_span = nullptr;
 
-void AppendJsonEscaped(std::ostringstream* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out << "\\\""; break;
-      case '\\': *out << "\\\\"; break;
-      case '\n': *out << "\\n"; break;
-      case '\t': *out << "\\t"; break;
-      case '\r': *out << "\\r"; break;
-      default: *out << c;
-    }
-  }
-}
-
-void AppendJsonNumber(std::ostringstream* out, double v) {
-  std::ostringstream tmp;
-  tmp.precision(6);
-  tmp << std::fixed << v;
-  *out << tmp.str();
-}
-
 // One access-log line (no trailing newline). Keys are stable — the log is
 // a machine-read artifact (CI uploads it; jq-friendly).
 std::string FormatAccessLogLine(const RequestRecord& rec) {
   std::ostringstream out;
-  out << "{\"ts\": ";
-  AppendJsonNumber(&out, rec.start_unix_seconds);
-  out << ", \"trace_id\": \"" << rec.trace_id_hex << "\", \"endpoint\": \"";
-  AppendJsonEscaped(&out, rec.endpoint);
-  out << "\", \"status\": " << rec.status << ", \"e2e_ms\": ";
-  AppendJsonNumber(&out, rec.e2e_ms);
-  out << ", \"stages_ms\": {";
+  out << "{\"ts\": " << json::NumberToString(rec.start_unix_seconds)
+      << ", \"trace_id\": \"" << rec.trace_id_hex << "\", \"endpoint\": \""
+      << json::Escape(rec.endpoint) << "\", \"status\": " << rec.status
+      << ", \"e2e_ms\": " << json::NumberToString(rec.e2e_ms)
+      << ", \"stages_ms\": {";
   for (int s = 0; s < kStageCount; ++s) {
     out << (s == 0 ? "\"" : ", \"") << StageName(static_cast<Stage>(s))
-        << "\": ";
-    AppendJsonNumber(&out, rec.stage_ms[s]);
+        << "\": " << json::NumberToString(rec.stage_ms[s]);
   }
-  out << ", \"other\": ";
-  AppendJsonNumber(&out, rec.other_ms);
-  out << "}";
+  out << ", \"other\": " << json::NumberToString(rec.other_ms) << "}";
   if (rec.has_batch) {
     out << ", \"batch_id\": " << rec.batch_id
         << ", \"batch_size\": " << rec.batch_size << ", \"fire_reason\": \""
-        << rec.fire_reason << "\"";
+        << json::Escape(rec.fire_reason) << "\"";
   }
   out << ", \"int8\": " << (rec.int8_active ? "true" : "false") << "}";
   return out.str();

@@ -121,7 +121,7 @@ void ThreadPool::ParallelForChunks(
     body(begin, end);
     return;
   }
-  EMBA_TRACE_SPAN_ARG("threadpool/parallel_for", "indices", count);
+  EMBA_TRACE_SPAN_ARGS("threadpool/parallel_for", {"indices", count});
   const bool count_chunks = metrics::Enabled();
   if (count_chunks) {
     metrics::GetCounter("threadpool.parallel_for_calls").Increment();

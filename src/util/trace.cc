@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "util/atomic_file.h"
+#include "util/json.h"
 #include "util/metrics.h"
 
 namespace emba {
@@ -174,14 +175,6 @@ void RecordSpan(const char* name, Clock::time_point begin,
   if (was_full) CountDropIfWrapped(buffer);
 }
 
-void RecordSpan(const char* name, Clock::time_point begin,
-                Clock::time_point end, const char* arg_name,
-                int64_t arg_value) {
-  const SpanArg arg =
-      arg_name != nullptr ? SpanArg(arg_name, arg_value) : SpanArg();
-  RecordSpan(name, begin, end, &arg, 1);
-}
-
 void RecordSpanCopy(const std::string& name, Clock::time_point begin,
                     Clock::time_point end, const SpanArg* args,
                     int num_args) {
@@ -195,29 +188,7 @@ void RecordSpanCopy(const std::string& name, Clock::time_point begin,
   if (was_full) CountDropIfWrapped(buffer);
 }
 
-void RecordSpanCopy(const std::string& name, Clock::time_point begin,
-                    Clock::time_point end, const char* arg_name,
-                    int64_t arg_value) {
-  const SpanArg arg =
-      arg_name != nullptr ? SpanArg(arg_name, arg_value) : SpanArg();
-  RecordSpanCopy(name, begin, end, &arg, 1);
-}
-
 namespace {
-
-void AppendEscaped(std::ostringstream* out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') *out << '\\';
-    *out << *s;
-  }
-}
-
-void AppendJsonDouble(std::ostringstream* out, double v) {
-  std::ostringstream tmp;
-  tmp.precision(12);
-  tmp << v;
-  *out << tmp.str();
-}
 
 // Emits `, "args": {...}` for an event with at least one arg; nothing
 // otherwise.
@@ -225,21 +196,18 @@ void AppendArgsJson(std::ostringstream* out, const SpanArg* args) {
   bool any = false;
   for (int a = 0; a < kMaxSpanArgs; ++a) {
     if (args[a].name == nullptr) continue;
-    *out << (any ? ", \"" : ", \"args\": {\"");
+    *out << (any ? ", \"" : ", \"args\": {\"") << json::Escape(args[a].name)
+         << "\": ";
     any = true;
-    AppendEscaped(out, args[a].name);
-    *out << "\": ";
     switch (args[a].type) {
       case SpanArg::Type::kInt64:
         *out << args[a].i;
         break;
       case SpanArg::Type::kDouble:
-        AppendJsonDouble(out, args[a].d);
+        *out << json::NumberToString(args[a].d);
         break;
       case SpanArg::Type::kString:
-        *out << '"';
-        AppendEscaped(out, args[a].s);
-        *out << '"';
+        *out << '"' << json::Escape(args[a].s) << '"';
         break;
       case SpanArg::Type::kNone:
         *out << "null";
@@ -289,16 +257,15 @@ Status WriteJson(const std::string& path) {
            "\"emba.trace.dropped\", \"args\": {\"events\": "
         << dropped << "}}";
   }
-  out.precision(3);
-  out << std::fixed;
   for (const FlatEvent& flat : events) {
     const Event& event = flat.event;
     out << ",\n{\"ph\": \"X\", \"pid\": 1, \"tid\": " << flat.tid
-        << ", \"ts\": " << static_cast<double>(event.ts_ns) / 1000.0
-        << ", \"dur\": " << static_cast<double>(event.dur_ns) / 1000.0
-        << ", \"cat\": \"emba\", \"name\": \"";
-    AppendEscaped(&out, event.name());
-    out << "\"";
+        << ", \"ts\": "
+        << json::NumberToString(static_cast<double>(event.ts_ns) / 1000.0)
+        << ", \"dur\": "
+        << json::NumberToString(static_cast<double>(event.dur_ns) / 1000.0)
+        << ", \"cat\": \"emba\", \"name\": \"" << json::Escape(event.name())
+        << "\"";
     AppendArgsJson(&out, event.args);
     out << "}";
   }

@@ -2,7 +2,6 @@
 //
 //   trace::Start();
 //   { EMBA_TRACE_SPAN("trainer/epoch"); ... }          // complete event
-//   { EMBA_TRACE_SPAN_ARG("trainer/epoch", "epoch", 3); ... }
 //   { EMBA_TRACE_SPAN_ARGS("trainer/step", {"step", s}, {"epoch", e}); ... }
 //   trace::WriteJson("run.trace.json");                // open in Perfetto /
 //                                                      // chrome://tracing
@@ -30,8 +29,7 @@
 // double, or string). Argument names and string values must outlive the
 // process: string literals qualify directly; dynamic strings go through
 // InternString(), which copies them into a process-lifetime pool once and
-// returns a stable pointer. The legacy single-(const char*, int64_t) pair
-// API is preserved, so existing call sites compile unchanged.
+// returns a stable pointer.
 //
 // Span names must be string literals (or otherwise outlive the process);
 // dynamic names go through the fixed-size copy of RecordSpanCopy.
@@ -115,20 +113,14 @@ const char* InternString(std::string_view s);
 /// the process (literals or InternString pointers). Slots past `num_args`
 /// (and any arg with a null name) are ignored.
 void RecordSpan(const char* name, Clock::time_point begin,
-                Clock::time_point end, const SpanArg* args, int num_args);
-
-/// Legacy single-integer-arg form; `arg_name == nullptr` means no args.
-void RecordSpan(const char* name, Clock::time_point begin,
-                Clock::time_point end, const char* arg_name = nullptr,
-                int64_t arg_value = 0);
+                Clock::time_point end, const SpanArg* args = nullptr,
+                int num_args = 0);
 
 /// As RecordSpan but copies `name` into the event (for dynamic names such as
 /// "bench/train_once/<model>"); truncated to the event's fixed capacity.
 void RecordSpanCopy(const std::string& name, Clock::time_point begin,
-                    Clock::time_point end, const SpanArg* args, int num_args);
-void RecordSpanCopy(const std::string& name, Clock::time_point begin,
-                    Clock::time_point end, const char* arg_name = nullptr,
-                    int64_t arg_value = 0);
+                    Clock::time_point end, const SpanArg* args = nullptr,
+                    int num_args = 0);
 
 /// Merges all thread buffers into one Chrome trace-event JSON object
 /// ({"traceEvents": [...], "displayTimeUnit": "ms"}) and writes it
@@ -197,10 +189,6 @@ class ScopedSpan {
       begin_ = Clock::now();
     }
   }
-  /// Legacy single-integer-arg form (EMBA_TRACE_SPAN_ARG expansion).
-  ScopedSpan(const char* name, const char* arg_name, int64_t arg_value)
-      : ScopedSpan(name, arg_name != nullptr ? SpanArg(arg_name, arg_value)
-                                             : SpanArg()) {}
   ~ScopedSpan() {
     if (name_ != nullptr) {
       RecordSpan(name_, begin_, Clock::now(), args_, kMaxSpanArgs);
@@ -232,10 +220,6 @@ class ScopedSpanCopy {
       begin_ = Clock::now();
     }
   }
-  ScopedSpanCopy(std::string name, const char* arg_name, int64_t arg_value)
-      : ScopedSpanCopy(std::move(name),
-                       arg_name != nullptr ? SpanArg(arg_name, arg_value)
-                                           : SpanArg()) {}
   ~ScopedSpanCopy() {
     if (active_) {
       RecordSpanCopy(name_, begin_, Clock::now(), args_, kMaxSpanArgs);
@@ -261,12 +245,6 @@ class ScopedSpanCopy {
 #define EMBA_TRACE_SPAN(name)                                   \
   ::emba::trace::ScopedSpan EMBA_TRACE_CONCAT(emba_trace_span_, \
                                               __COUNTER__)(name)
-
-/// Scoped span with one integer argument shown in the trace viewer.
-#define EMBA_TRACE_SPAN_ARG(name, arg_name, arg_value)          \
-  ::emba::trace::ScopedSpan EMBA_TRACE_CONCAT(emba_trace_span_, \
-                                              __COUNTER__)(     \
-      name, arg_name, static_cast<int64_t>(arg_value))
 
 /// Scoped span with up to four typed arguments, each written as a braced
 /// pair: EMBA_TRACE_SPAN_ARGS("x", {"step", s}, {"lr", 0.1}, {"mode", "t"}).

@@ -1,10 +1,10 @@
 // Tier-1 tests for the live observability server (util/http_server +
 // util/observability), the Prometheus exposition (util/metrics), the
-// sampling profiler (util/profiler), rich span args and the periodic
-// metrics flush: exposition syntax + label escaping, snapshot consistency
-// under a real concurrent training run (histogram bucket sum == count on
-// every scrape), /healthz state transitions, profiler smoke, clean
-// port-in-use errors, and the no-server-no-thread contract.
+// sampling profiler (util/profiler) and rich span args: exposition syntax
+// + label escaping, snapshot consistency under a real concurrent training
+// run (histogram bucket sum == count on every scrape), /healthz state
+// transitions, profiler smoke, clean port-in-use errors, and the
+// no-server-no-thread contract.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -28,9 +28,11 @@
 #include "core/trainer.h"
 #include "data/generator.h"
 #include "util/http_server.h"
+#include "util/json.h"
 #include "util/metrics.h"
 #include "util/observability.h"
 #include "util/profiler.h"
+#include "util/request_trace.h"
 #include "util/trace.h"
 
 namespace emba {
@@ -102,112 +104,7 @@ Result<HttpResult> HttpGet(int port, const std::string& target) {
   return result;
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON syntax validator (same grammar as observability_test's).
-
-class JsonValidator {
- public:
-  explicit JsonValidator(const std::string& text) : s_(text) {}
-  bool Valid() {
-    SkipWs();
-    if (!Value()) return false;
-    SkipWs();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool Peek(char c) const { return pos_ < s_.size() && s_[pos_] == c; }
-  void SkipWs() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-  bool Literal(const char* word) {
-    const size_t n = std::strlen(word);
-    if (s_.compare(pos_, n, word) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-  bool String() {
-    if (!Peek('"')) return false;
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      pos_ += s_[pos_] == '\\' ? 2 : 1;
-    }
-    if (!Peek('"')) return false;
-    ++pos_;
-    return true;
-  }
-  bool Number() {
-    const size_t start = pos_;
-    if (Peek('-')) ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-  bool Value() {
-    SkipWs();
-    if (Peek('{')) return Object();
-    if (Peek('[')) return Array();
-    if (Peek('"')) return String();
-    if (Literal("true") || Literal("false") || Literal("null")) return true;
-    return Number();
-  }
-  bool Object() {
-    ++pos_;
-    SkipWs();
-    if (Peek('}')) {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      if (!String()) return false;
-      SkipWs();
-      if (!Peek(':')) return false;
-      ++pos_;
-      if (!Value()) return false;
-      SkipWs();
-      if (Peek(',')) {
-        ++pos_;
-        continue;
-      }
-      break;
-    }
-    SkipWs();
-    if (!Peek('}')) return false;
-    ++pos_;
-    return true;
-  }
-  bool Array() {
-    ++pos_;
-    SkipWs();
-    if (Peek(']')) {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      if (!Value()) return false;
-      SkipWs();
-      if (Peek(',')) {
-        ++pos_;
-        continue;
-      }
-      break;
-    }
-    SkipWs();
-    if (!Peek(']')) return false;
-    ++pos_;
-    return true;
-  }
-  const std::string& s_;
-  size_t pos_ = 0;
-};
+bool IsJson(const std::string& text) { return json::Parse(text).ok(); }
 
 // ---------------------------------------------------------------------------
 // Prometheus exposition checks shared by the syntax and concurrency tests.
@@ -282,8 +179,10 @@ class ObsServerTest : public ::testing::Test {
  protected:
   void TearDown() override {
     StopObservabilityServer();
-    StopPeriodicMetricsFlush();
     trace::Stop();
+    rtrace::SetEnabled(false);
+    ASSERT_TRUE(rtrace::SetAccessLogPath("").ok());
+    rtrace::ResetForTest();
     metrics::SetMetricsOutputPath("");
   }
 };
@@ -419,7 +318,7 @@ TEST_F(ObsServerTest, ConcurrentScrapeDuringTrainingIsConsistent) {
   auto json = HttpGet(port, "/metrics.json");
   ASSERT_TRUE(json.ok());
   EXPECT_EQ(json->status, 200);
-  EXPECT_TRUE(JsonValidator(json->body).Valid());
+  EXPECT_TRUE(IsJson(json->body));
   EXPECT_NE(json->body.find("process.rss_bytes"), std::string::npos);
   EXPECT_NE(json->body.find("process.uptime_seconds"), std::string::npos);
   EXPECT_NE(json->body.find("process.threads"), std::string::npos);
@@ -440,7 +339,7 @@ TEST_F(ObsServerTest, HealthzReflectsStateTransitions) {
   EXPECT_EQ(starting->status, 200);
   EXPECT_NE(starting->body.find("\"state\": \"starting\""),
             std::string::npos);
-  EXPECT_TRUE(JsonValidator(starting->body).Valid());
+  EXPECT_TRUE(IsJson(starting->body));
 
   SetHealthState(HealthState::kScoring);
   HealthHeartbeat();
@@ -473,7 +372,7 @@ TEST_F(ObsServerTest, TracezServesTypedArgsAsJsonAndHtml) {
   auto json = HttpGet(port, "/tracez?format=json");
   ASSERT_TRUE(json.ok());
   EXPECT_EQ(json->status, 200);
-  EXPECT_TRUE(JsonValidator(json->body).Valid()) << json->body;
+  EXPECT_TRUE(IsJson(json->body)) << json->body;
   EXPECT_NE(json->body.find("obs_test/span"), std::string::npos);
   EXPECT_NE(json->body.find("\"step\": 41"), std::string::npos);
   EXPECT_NE(json->body.find("\"lr\": 0.25"), std::string::npos);
@@ -505,7 +404,7 @@ TEST_F(ObsServerTest, BuildzReportsProvenanceAndEnvKnobs) {
   auto buildz = HttpGet(port, "/buildz");
   ASSERT_TRUE(buildz.ok()) << buildz.status().ToString();
   ASSERT_EQ(buildz->status, 200);
-  EXPECT_TRUE(JsonValidator(buildz->body).Valid()) << buildz->body;
+  EXPECT_TRUE(IsJson(buildz->body)) << buildz->body;
   EXPECT_NE(buildz->body.find("\"git_sha\": \""), std::string::npos);
   EXPECT_NE(buildz->body.find("\"compiler\": \""), std::string::npos);
   EXPECT_NE(buildz->body.find("\"start_time_unix_seconds\": "),
@@ -534,7 +433,7 @@ TEST_F(ObsServerTest, RpczServesHtmlAndJsonWhenIdle) {
   auto json = HttpGet(port, "/rpcz?format=json");
   ASSERT_TRUE(json.ok());
   EXPECT_EQ(json->status, 200);
-  EXPECT_TRUE(JsonValidator(json->body).Valid()) << json->body;
+  EXPECT_TRUE(IsJson(json->body)) << json->body;
   EXPECT_NE(json->body.find("\"slowest_k\": "), std::string::npos);
   EXPECT_NE(json->body.find("\"retained\": ["), std::string::npos);
 
@@ -639,48 +538,14 @@ TEST_F(ObsServerTest, ProfilezEndpointServesCollapsedStacks) {
 }
 
 // ---------------------------------------------------------------------------
-// Periodic flush
-
-TEST_F(ObsServerTest, PeriodicFlushRewritesMetricsFile) {
-  const std::string path = "/tmp/emba_obs_periodic_metrics.json";
-  std::filesystem::remove(path);
-  metrics::Counter& marker = metrics::GetCounter("obs_test.flush_marker");
-
-  ASSERT_TRUE(StartPeriodicMetricsFlush(0.05, path).ok());
-  EXPECT_TRUE(PeriodicMetricsFlushRunning());
-
-  auto wait_for_content = [&path](const std::string& needle) {
-    for (int i = 0; i < 100; ++i) {
-      std::ifstream in(path);
-      std::stringstream buf;
-      buf << in.rdbuf();
-      if (buf.str().find(needle) != std::string::npos) return true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    return false;
-  };
-  ASSERT_TRUE(wait_for_content("obs_test.flush_marker"))
-      << "periodic flush never wrote " << path;
-  // The file is *re*-written: a later bump must show up without any exit.
-  marker.Increment(12345);
-  EXPECT_TRUE(wait_for_content("12345"));
-
-  StopPeriodicMetricsFlush();
-  EXPECT_FALSE(PeriodicMetricsFlushRunning());
-  std::filesystem::remove(path);
-}
-
-TEST_F(ObsServerTest, PeriodicFlushRejectsBadConfig) {
-  EXPECT_FALSE(StartPeriodicMetricsFlush(0.0, "/tmp/x.json").ok());
-  EXPECT_FALSE(StartPeriodicMetricsFlush(-2.0, "/tmp/x.json").ok());
-  metrics::SetMetricsOutputPath("");
-  Status no_path = StartPeriodicMetricsFlush(1.0);
-  EXPECT_FALSE(no_path.ok());
-  EXPECT_EQ(no_path.code(), StatusCode::kFailedPrecondition);
-}
-
-// ---------------------------------------------------------------------------
 // Rich span args in the Chrome-trace export
+
+std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
 
 TEST_F(ObsServerTest, WriteJsonEmitsTypedSpanArgs) {
   trace::Start();
@@ -689,21 +554,104 @@ TEST_F(ObsServerTest, WriteJsonEmitsTypedSpanArgs) {
                          {"threshold", 0.5},
                          {"dataset", trace::InternString(std::string("wdc"))});
   }
-  { EMBA_TRACE_SPAN_ARG("obs_test/legacy", "step", 9); }
   trace::Stop();
   const std::string path = "/tmp/emba_obs_span_args_trace.json";
   std::filesystem::remove(path);
   ASSERT_TRUE(trace::WriteJson(path).ok());
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string json = buf.str();
-  EXPECT_TRUE(JsonValidator(json).Valid());
+  const std::string json = ReadWholeFile(path);
+  EXPECT_TRUE(IsJson(json));
   EXPECT_NE(json.find("\"epoch\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"threshold\": 0.5"), std::string::npos);
   EXPECT_NE(json.find("\"dataset\": \"wdc\""), std::string::npos);
-  EXPECT_NE(json.find("\"step\": 9"), std::string::npos);
   std::filesystem::remove(path);
+}
+
+// ---------------------------------------------------------------------------
+// String escaping through the real JSON emitters
+
+// A failed parse fails the test and yields null.
+json::Value ParseJson(const std::string& text) {
+  Result<json::Value> parsed = json::Parse(text);
+  EXPECT_TRUE(parsed.ok()) << parsed.status() << "\n" << text;
+  return parsed.ok() ? *parsed : json::Value();
+}
+
+// The string member `key` of `v`; "<missing>" when absent or not a string.
+std::string StringAt(const json::Value& v, const std::string& key) {
+  const json::Value* m = v.Find(key);
+  return m != nullptr && m->is_string() ? m->AsString() : "<missing>";
+}
+
+// The first element of array member `key` whose "name" is `name`.
+const json::Value* EventNamed(const json::Value& v, const std::string& key,
+                              const std::string& name) {
+  const json::Value* events = v.Find(key);
+  if (events == nullptr || !events->is_array()) return nullptr;
+  for (const json::Value& e : events->AsArray()) {
+    if (StringAt(e, "name") == name) return &e;
+  }
+  return nullptr;
+}
+
+http::HttpResponse Get(const std::string& path, const std::string& query) {
+  http::HttpRequest req;
+  req.method = "GET";
+  req.path = path;
+  req.query = query;
+  return HandleObservabilityRequest(req);
+}
+
+TEST_F(ObsServerTest, ControlBytesSurviveEveryJsonEmitter) {
+  const std::string endpoint = "/a\x01" "b";
+  const std::string arg = "a\nb\x1f";
+  const std::string counter = "obs_test.quote\"name";
+
+  // A request record: the access-log line and /rpcz?format=json.
+  const std::string log_path = "/tmp/emba_obs_control_bytes_access.jsonl";
+  std::filesystem::remove(log_path);
+  rtrace::ResetForTest();
+  rtrace::SetEnabled(true);
+  ASSERT_TRUE(rtrace::SetAccessLogPath(log_path).ok());
+  auto ctx = rtrace::StartRequest();
+  ASSERT_NE(ctx, nullptr);
+  ctx->SetEndpoint(endpoint);
+  rtrace::FinishRequest(ctx, 200);
+  ASSERT_TRUE(rtrace::FlushAccessLog().ok());
+  EXPECT_EQ(StringAt(ParseJson(ReadWholeFile(log_path)), "endpoint"),
+            endpoint);
+  const json::Value rpcz = ParseJson(Get("/rpcz", "format=json").body);
+  const json::Value* retained = rpcz.Find("retained");
+  ASSERT_TRUE(retained != nullptr && retained->is_array());
+  ASSERT_EQ(retained->AsArray().size(), 1u);
+  EXPECT_EQ(StringAt(retained->AsArray()[0], "endpoint"), endpoint);
+  std::filesystem::remove(log_path);
+
+  // A span with an interned string arg: the Chrome trace and /tracez.
+  trace::Start();
+  {
+    EMBA_TRACE_SPAN_ARGS("obs_test/control_bytes",
+                         {"s", trace::InternString(arg)});
+  }
+  trace::Stop();
+  const std::string trace_path = "/tmp/emba_obs_control_bytes_trace.json";
+  ASSERT_TRUE(trace::WriteJson(trace_path).ok());
+  const json::Value chrome = ParseJson(ReadWholeFile(trace_path));
+  std::filesystem::remove(trace_path);
+  const json::Value tracez = ParseJson(Get("/tracez", "format=json").body);
+  for (const json::Value* doc : {&chrome, &tracez}) {
+    const json::Value* span = EventNamed(
+        *doc, doc == &chrome ? "traceEvents" : "events",
+        "obs_test/control_bytes");
+    ASSERT_NE(span, nullptr);
+    ASSERT_NE(span->Find("args"), nullptr);
+    EXPECT_EQ(StringAt(*span->Find("args"), "s"), arg);
+  }
+
+  // A counter name holding a quote: the metrics JSON dump.
+  metrics::GetCounter(counter).Increment();
+  const json::Value dump = ParseJson(metrics::Registry::Global().ToJson());
+  ASSERT_NE(dump.Find("counters"), nullptr);
+  EXPECT_NE(dump.Find("counters")->Find(counter), nullptr);
 }
 
 }  // namespace

@@ -33,8 +33,8 @@
 #include "data/generator.h"
 #include "pipeline/dedupe.h"
 #include "serve/batcher.h"
-#include "serve/json.h"
 #include "serve/service.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/observability.h"
@@ -190,15 +190,15 @@ double ReferenceScore(const std::string& left, const std::string& right) {
 }
 
 std::string MatchBody(const std::string& left, const std::string& right) {
-  return "{\"left\": \"" + serve::json::Escape(left) + "\", \"right\": \"" +
-         serve::json::Escape(right) + "\"}";
+  return "{\"left\": \"" + json::Escape(left) + "\", \"right\": \"" +
+         json::Escape(right) + "\"}";
 }
 
 /// Extracts a required number member from a JSON response body.
 double JsonNumber(const std::string& body, const std::string& key) {
-  auto parsed = serve::json::Parse(body);
+  auto parsed = json::Parse(body);
   EMBA_CHECK_MSG(parsed.ok(), "response body is not JSON: " + body);
-  const serve::json::Value* v = parsed->Find(key);
+  const json::Value* v = parsed->Find(key);
   EMBA_CHECK_MSG(v != nullptr && v->is_number(),
                  "missing number \"" + key + "\" in: " + body);
   return v->AsNumber();
@@ -485,7 +485,7 @@ TEST(MatchServiceTest, DedupeMatchesOfflineReference) {
 
   const std::string query = world.catalog[0].Description();
   auto r = HttpPost(service.port(), "/dedupe",
-                    "{\"record\": \"" + serve::json::Escape(query) +
+                    "{\"record\": \"" + json::Escape(query) +
                         "\", \"top_k\": 5}");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->status, 200);
@@ -501,11 +501,11 @@ TEST(MatchServiceTest, DedupeMatchesOfflineReference) {
         core::MatchProbability(*world.model, reference.samples[c]);
   }
 
-  auto parsed = serve::json::Parse(r->body);
+  auto parsed = json::Parse(r->body);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(static_cast<size_t>(JsonNumber(r->body, "candidates_considered")),
             reference.samples.size());
-  const serve::json::Value* candidates = parsed->Find("candidates");
+  const json::Value* candidates = parsed->Find("candidates");
   ASSERT_NE(candidates, nullptr);
   ASSERT_TRUE(candidates->is_array());
   ASSERT_LE(candidates->AsArray().size(), 5u);
@@ -895,7 +895,7 @@ TEST(ServeJsonTest, NumberRoundTripsBitExactly) {
   const double values[] = {0.1, 1.0 / 3.0, 5e-324, 0.49999999999999994,
                            1234567.891011, 1.0};
   for (double v : values) {
-    auto parsed = serve::json::Parse(serve::json::NumberToString(v));
+    auto parsed = json::Parse(json::NumberToString(v));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(parsed->AsNumber(), v);
   }
@@ -924,9 +924,9 @@ TEST(ServeJsonTest, NumbersAreLocaleIndependent) {
   std::snprintf(probe, sizeof(probe), "%.1f", 1.5);
   EXPECT_STREQ(probe, "1,5");
 
-  auto parsed = serve::json::Parse("{\"p\": 0.75, \"q\": 1.5e-3}");
-  std::string printed_half = serve::json::NumberToString(0.5);
-  auto round_trip = serve::json::Parse(serve::json::NumberToString(1.0 / 3.0));
+  auto parsed = json::Parse("{\"p\": 0.75, \"q\": 1.5e-3}");
+  std::string printed_half = json::NumberToString(0.5);
+  auto round_trip = json::Parse(json::NumberToString(1.0 / 3.0));
 
   std::setlocale(LC_ALL, "C");
   unsetenv("LOCPATH");
@@ -940,11 +940,11 @@ TEST(ServeJsonTest, NumbersAreLocaleIndependent) {
 }
 
 TEST(ServeJsonTest, ParsesNestedDocument) {
-  auto parsed = serve::json::Parse(
+  auto parsed = json::Parse(
       "{\"a\": [1, 2.5, \"s\\u00e9\"], \"b\": {\"c\": true, \"d\": null}}");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_TRUE(parsed->is_object());
-  const serve::json::Value* a = parsed->Find("a");
+  const json::Value* a = parsed->Find("a");
   ASSERT_NE(a, nullptr);
   ASSERT_TRUE(a->is_array());
   EXPECT_EQ(a->AsArray()[2].AsString(), "s\xc3\xa9");
@@ -955,19 +955,19 @@ TEST(ServeJsonTest, ParsesNestedDocument) {
 TEST(ServeJsonTest, RejectsHostileInput) {
   // Unterminated, trailing garbage, deep nesting, bad escapes: all clean
   // InvalidArgument errors, never a crash.
-  EXPECT_FALSE(serve::json::Parse("{\"a\": ").ok());
-  EXPECT_FALSE(serve::json::Parse("{} trailing").ok());
-  EXPECT_FALSE(serve::json::Parse("\"\\q\"").ok());
-  EXPECT_FALSE(serve::json::Parse("01").ok());
+  EXPECT_FALSE(json::Parse("{\"a\": ").ok());
+  EXPECT_FALSE(json::Parse("{} trailing").ok());
+  EXPECT_FALSE(json::Parse("\"\\q\"").ok());
+  EXPECT_FALSE(json::Parse("01").ok());
   std::string deep;
   for (int i = 0; i < 200; ++i) deep += "[";
-  auto nested = serve::json::Parse(deep);
+  auto nested = json::Parse(deep);
   ASSERT_FALSE(nested.ok());
   EXPECT_NE(nested.status().message().find("deep"), std::string::npos);
 }
 
 TEST(ServeJsonTest, EscapeProtectsControlAndQuoteCharacters) {
-  EXPECT_EQ(serve::json::Escape("a\"b\\c\nd\x01"),
+  EXPECT_EQ(json::Escape("a\"b\\c\nd\x01"),
             "a\\\"b\\\\c\\nd\\u0001");
 }
 

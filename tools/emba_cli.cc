@@ -39,9 +39,7 @@
 //
 // --serve-obs <port> starts the live observability server (/metrics in
 // Prometheus format, /healthz, /tracez, /profilez, /trainz — see DESIGN.md
-// §11); --metrics-every <sec> re-writes the metrics JSON on an interval so
-// headless runs aren't exit-only. Env equivalents: EMBA_OBS_PORT,
-// EMBA_METRICS_EVERY.
+// §11). Env equivalent: EMBA_OBS_PORT.
 //
 // Training observability (DESIGN.md §11, src/train_obs): --train-events
 // <path> streams a schema-versioned JSONL event log (per-step per-task
@@ -86,12 +84,11 @@ int Usage() {
   std::fprintf(stderr,
                "usage (global flags: --threads N, --int8, "
                "--metrics-out <path>, --trace-out <path>,\n"
-               "       --serve-obs <port>, --metrics-every <sec>, --rtrace, "
-               "--access-log <path>;\n"
+               "       --serve-obs <port>, --rtrace, --access-log <path>;\n"
                "       env: EMBA_NUM_THREADS, EMBA_INT8, EMBA_METRICS_OUT, "
                "EMBA_TRACE_OUT,\n"
-               "       EMBA_OBS_PORT, EMBA_METRICS_EVERY, EMBA_RTRACE, "
-               "EMBA_ACCESS_LOG, EMBA_RPCZ_K):\n"
+               "       EMBA_OBS_PORT, EMBA_RTRACE, EMBA_ACCESS_LOG, "
+               "EMBA_RPCZ_K):\n"
                "  emba_cli generate <dataset> <out_prefix>\n"
                "  emba_cli train <prefix> <model> <out.bin> "
                "[--checkpoint-every N] [--checkpoint-keep-last K] [--resume]\n"
@@ -372,15 +369,6 @@ int main(int argc, char** argv) {
         return Fail("--serve-obs requires a port in [0, 65535]");
       }
       Status status = StartObservabilityServer(port);
-      if (!status.ok()) return Fail(status.ToString());
-    } else if (std::strcmp(argv[a], "--metrics-every") == 0 && a + 1 < argc) {
-      const double seconds = std::atof(argv[++a]);
-      if (!(seconds > 0.0)) {
-        return Fail("--metrics-every requires a positive interval in seconds");
-      }
-      // Needs a destination: --metrics-out / EMBA_METRICS_OUT must come
-      // first on the command line (the loop applies flags in order).
-      Status status = StartPeriodicMetricsFlush(seconds);
       if (!status.ok()) return Fail(status.ToString());
     } else if (std::strcmp(argv[a], "--rtrace") == 0) {
       rtrace::SetEnabled(true);

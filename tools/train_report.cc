@@ -12,9 +12,8 @@
 // sentinel firing where the baseline was clean. Exit 0 = no regression,
 // exit 2 = usage/parse error.
 //
-// The parser is deliberately minimal: it extracts fields from the JSON the
-// train_obs writer emits (one object per line, fixed key spelling), not
-// arbitrary JSON.
+// Each line is parsed with json::Parse and fields are read by key; lines
+// that are not JSON objects (a torn final line) are skipped.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -23,6 +22,7 @@
 #include <vector>
 
 #include "util/atomic_file.h"
+#include "util/json.h"
 #include "util/status.h"
 
 namespace {
@@ -30,55 +30,32 @@ namespace {
 using emba::ReadFileToString;
 using emba::Status;
 
-// ---- line-level field extraction (train_obs event format only) ----
+namespace json = emba::json;
 
-bool FindString(const std::string& line, const std::string& key,
-                std::string* out) {
-  const std::string needle = "\"" + key + "\": \"";
-  const size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const size_t start = pos + needle.size();
-  const size_t stop = line.find('"', start);
-  if (stop == std::string::npos) return false;
-  *out = line.substr(start, stop - start);
-  return true;
-}
-
-bool FindNumber(const std::string& line, const std::string& key,
-                double* out) {
-  const std::string needle = "\"" + key + "\": ";
-  const size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const char* start = line.c_str() + pos + needle.size();
-  // Non-finite numbers serialize as strings ("inf"/"-inf"/"nan").
-  if (*start == '"') {
-    if (std::strncmp(start, "\"inf\"", 5) == 0) {
-      *out = HUGE_VAL;
-    } else if (std::strncmp(start, "\"-inf\"", 6) == 0) {
-      *out = -HUGE_VAL;
-    } else {
-      *out = NAN;
-    }
-    return true;
+/// Reads number member `key` of `obj` into `out`; false (and `out`
+/// untouched) when absent. Schema-v1 events spell non-finite numbers as
+/// the strings "nan", "inf" and "-inf".
+bool ReadNumber(const json::Value& obj, const char* key, double* out) {
+  const json::Value* v = obj.Find(key);
+  if (v == nullptr) return false;
+  if (v->is_number()) {
+    *out = v->AsNumber();
+  } else if (v->is_string() && v->AsString() == "inf") {
+    *out = HUGE_VAL;
+  } else if (v->is_string() && v->AsString() == "-inf") {
+    *out = -HUGE_VAL;
+  } else if (v->is_string() && v->AsString() == "nan") {
+    *out = NAN;
+  } else {
+    return false;
   }
-  char* end = nullptr;
-  const double v = std::strtod(start, &end);
-  if (end == start) return false;
-  *out = v;
   return true;
 }
 
-/// Extracts the `{...}` object following `"key": ` (events nest one level
-/// deep at most, so the first closing brace terminates it).
-bool FindObject(const std::string& line, const std::string& key,
-                std::string* out) {
-  const std::string needle = "\"" + key + "\": {";
-  const size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const size_t start = pos + needle.size();
-  const size_t stop = line.find('}', start);
-  if (stop == std::string::npos) return false;
-  *out = line.substr(start, stop - start);
+bool ReadString(const json::Value& obj, const char* key, std::string* out) {
+  const json::Value* v = obj.Find(key);
+  if (v == nullptr || !v->is_string()) return false;
+  *out = v->AsString();
   return true;
 }
 
@@ -115,24 +92,27 @@ Status ParseLog(const std::string& path, RunSummary* out) {
     const std::string line = contents.substr(pos, nl - pos);
     pos = nl + 1;
     if (line.empty()) continue;
+    emba::Result<json::Value> parsed = json::Parse(line);
+    if (!parsed.ok()) continue;
+    const json::Value& event = *parsed;
     std::string type;
-    if (!FindString(line, "type", &type)) continue;
+    if (!ReadString(event, "type", &type)) continue;
     if (type == "run_start") {
-      FindString(line, "dataset", &out->dataset);
-      FindString(line, "model", &out->model);
+      ReadString(event, "dataset", &out->dataset);
+      ReadString(event, "model", &out->model);
     } else if (type == "step") {
       ++out->steps;
       double ms = 0.0;
-      if (FindNumber(line, "step_ms", &ms)) out->step_ms_sum += ms;
+      if (ReadNumber(event, "step_ms", &ms)) out->step_ms_sum += ms;
     } else if (type == "epoch") {
       ++out->epochs;
-      std::string loss_obj, examples_obj;
-      if (FindObject(line, "loss", &loss_obj) &&
-          FindObject(line, "examples", &examples_obj)) {
+      const json::Value* loss = event.Find("loss");
+      const json::Value* examples = event.Find("examples");
+      if (loss != nullptr && examples != nullptr) {
         for (int t = 0; t < kNumTasks; ++t) {
           double sum = 0.0, n = 0.0;
-          if (FindNumber(loss_obj, kTaskNames[t], &sum) &&
-              FindNumber(examples_obj, kTaskNames[t], &n) && n > 0.0) {
+          if (ReadNumber(*loss, kTaskNames[t], &sum) &&
+              ReadNumber(*examples, kTaskNames[t], &n) && n > 0.0) {
             out->final_loss[t] = sum / n;
           }
         }
@@ -140,7 +120,8 @@ Status ParseLog(const std::string& path, RunSummary* out) {
     } else if (type == "eval") {
       std::string split;
       double f1 = NAN;
-      if (FindString(line, "split", &split) && FindNumber(line, "f1", &f1)) {
+      if (ReadString(event, "split", &split) &&
+          ReadNumber(event, "f1", &f1)) {
         if (split == "valid") {
           out->last_valid_f1 = f1;
           if (std::isnan(out->best_valid_f1) || f1 > out->best_valid_f1) {
@@ -154,11 +135,11 @@ Status ParseLog(const std::string& path, RunSummary* out) {
       ++out->checkpoints;
     } else if (type == "run_end") {
       out->has_run_end = true;
-      FindNumber(line, "best_valid_f1", &out->best_valid_f1);
-      FindNumber(line, "test_f1", &out->test_f1);
-      FindNumber(line, "wall_seconds", &out->wall_seconds);
-      FindNumber(line, "nonfinite_losses", &out->nonfinite_losses);
-      FindNumber(line, "nonfinite_grads", &out->nonfinite_grads);
+      ReadNumber(event, "best_valid_f1", &out->best_valid_f1);
+      ReadNumber(event, "test_f1", &out->test_f1);
+      ReadNumber(event, "wall_seconds", &out->wall_seconds);
+      ReadNumber(event, "nonfinite_losses", &out->nonfinite_losses);
+      ReadNumber(event, "nonfinite_grads", &out->nonfinite_grads);
     }
   }
   if (out->steps == 0 && out->epochs == 0) {
