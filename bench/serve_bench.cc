@@ -25,7 +25,7 @@
 //   --access-log <path>   JSON access log (implies --rtrace)
 //   --dump-obs <dir>      after the run, write metrics.prom (the /metrics
 //                         exposition, with exemplars) and rpcz.json (the
-//                         /rpcz?format=json snapshot) into <dir> — CI
+//                         /rpcz snapshot) into <dir> — CI
 //                         scrapes these without a live listener
 //
 // Exit status is nonzero when the run is unhealthy: zero completed
@@ -323,7 +323,7 @@ int main(int argc, char** argv) {
   }
   if (!opt.dump_obs_dir.empty()) {
     // The observability surface as files: the same bytes a live /metrics
-    // and /rpcz?format=json scrape would return. CI greps these for
+    // and /rpcz scrape would return. CI greps these for
     // exemplars and per-stage counts without managing a listener.
     http::HttpRequest scrape;
     scrape.method = "GET";
@@ -331,7 +331,6 @@ int main(int argc, char** argv) {
     std::ofstream prom(opt.dump_obs_dir + "/metrics.prom");
     prom << HandleObservabilityRequest(scrape).body;
     scrape.path = "/rpcz";
-    scrape.query = "format=json";
     std::ofstream rpcz(opt.dump_obs_dir + "/rpcz.json");
     rpcz << HandleObservabilityRequest(scrape).body;
     if (!prom || !rpcz) {

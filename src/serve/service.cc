@@ -143,7 +143,7 @@ Status MatchService::Start(int port) {
   SetHealthState(HealthState::kScoring);
   HealthHeartbeat();
   EMBA_LOG(INFO) << "emba_serve listening on port " << server_->port()
-                 << " (/match /dedupe /metrics /healthz; batch="
+                 << " (/match /dedupe and the observability endpoints; batch="
                  << config_.batcher.max_batch << " deadline_us="
                  << config_.batcher.batch_deadline_us << " queue="
                  << config_.batcher.max_queue << " workers="
@@ -192,8 +192,7 @@ http::HttpResponse MatchService::Handle(const http::HttpRequest& request) {
     return request.path == "/match" ? HandleMatch(request)
                                     : HandleDedupe(request);
   }
-  // Everything else is the observability surface (/, /metrics,
-  // /metrics.json, /healthz, /tracez, /profilez, 404).
+  // Everything else is the observability endpoint table (or its 404).
   return HandleObservabilityRequest(request);
 }
 

@@ -9,8 +9,8 @@
 //   POST /dedupe  {"record": "...", "top_k": N} → blocking-index candidates
 //                 from the service catalog, each candidate scored through
 //                 the same batcher, ranked by P(match).
-//   GET  /metrics, /metrics.json, /healthz, /tracez, /profilez — the
-//                 observability endpoint table, served on this port.
+//   GET  everything else — the observability endpoint table
+//                 (util/observability.h), served on this port.
 //
 // Admission control and the drain protocol: a full batch queue answers 429
 // with a Retry-After hint; once draining begins, new work answers 503

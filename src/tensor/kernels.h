@@ -56,7 +56,9 @@ enum class Backend {
 /// "scalar" / "avx2".
 const char* BackendName(Backend b);
 
-/// One entry per vectorizable inner loop. All pointers are always non-null.
+/// One entry per vectorizable inner loop. All pointers are always non-null:
+/// each backend table names every slot with a designated initializer, and
+/// emba_tensor builds with -Werror=missing-field-initializers.
 struct KernelTable {
   Backend backend;
 

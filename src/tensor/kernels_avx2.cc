@@ -1154,36 +1154,36 @@ void Transpose2DAvx2(float* out, const float* in, int64_t rows,
 }
 
 constexpr KernelTable kAvx2Table = {
-    Backend::kAvx2,
-    DotAvx2,
-    SumAvx2,
-    SumSqAvx2,
-    CenteredSumSqAvx2,
-    MaxAvx2,
-    AddAvx2,
-    SubAvx2,
-    MulAvx2,
-    ScaleAvx2,
-    AddScalarAvx2,
-    AxpyAvx2,
-    MulAddAvx2,
-    MatMulBlockAxpyAvx2,
-    MatMulBlockDotAvx2,
-    ExpSubSumAvx2,
-    ExpSubSumConstAvx2,
-    GeluKernelAvx2,
-    ReluAvx2,
-    TanhKernelAvx2,
-    SigmoidKernelAvx2,
-    GeluBackwardAvx2,
-    TanhBackwardAvx2,
-    SigmoidBackwardAvx2,
-    SoftmaxBackwardRowAvx2,
-    LayerNormForwardRowAvx2,
-    MinMaxAvx2,
-    Int8QuantizeRowAvx2,
-    Int8GemmDequantAvx2,
-    Transpose2DAvx2,
+    .backend = Backend::kAvx2,
+    .Dot = DotAvx2,
+    .Sum = SumAvx2,
+    .SumSq = SumSqAvx2,
+    .CenteredSumSq = CenteredSumSqAvx2,
+    .Max = MaxAvx2,
+    .Add = AddAvx2,
+    .Sub = SubAvx2,
+    .Mul = MulAvx2,
+    .Scale = ScaleAvx2,
+    .AddScalar = AddScalarAvx2,
+    .Axpy = AxpyAvx2,
+    .MulAdd = MulAddAvx2,
+    .MatMulBlockAxpy = MatMulBlockAxpyAvx2,
+    .MatMulBlockDot = MatMulBlockDotAvx2,
+    .ExpSubSum = ExpSubSumAvx2,
+    .ExpSubSumConst = ExpSubSumConstAvx2,
+    .Gelu = GeluKernelAvx2,
+    .Relu = ReluAvx2,
+    .Tanh = TanhKernelAvx2,
+    .Sigmoid = SigmoidKernelAvx2,
+    .GeluBackward = GeluBackwardAvx2,
+    .TanhBackward = TanhBackwardAvx2,
+    .SigmoidBackward = SigmoidBackwardAvx2,
+    .SoftmaxBackwardRow = SoftmaxBackwardRowAvx2,
+    .LayerNormForwardRow = LayerNormForwardRowAvx2,
+    .MinMax = MinMaxAvx2,
+    .Int8QuantizeRow = Int8QuantizeRowAvx2,
+    .Int8GemmDequant = Int8GemmDequantAvx2,
+    .Transpose2D = Transpose2DAvx2,
 };
 
 }  // namespace

@@ -287,36 +287,36 @@ void Transpose2DScalar(float* out, const float* in, int64_t rows,
 }
 
 constexpr KernelTable kScalarTable = {
-    Backend::kScalar,
-    DotScalar,
-    SumScalar,
-    SumSqScalar,
-    CenteredSumSqScalar,
-    MaxScalar,
-    AddScalarBackend,
-    SubScalarBackend,
-    MulScalarBackend,
-    ScaleScalar,
-    AddScalarScalar,
-    AxpyScalar,
-    MulAddScalar,
-    MatMulBlockAxpyScalar,
-    MatMulBlockDotScalar,
-    ExpSubSumScalar,
-    ExpSubSumConstScalar,
-    GeluScalar,
-    ReluScalar,
-    TanhScalar,
-    SigmoidScalar,
-    GeluBackwardScalar,
-    TanhBackwardScalar,
-    SigmoidBackwardScalar,
-    SoftmaxBackwardRowScalar,
-    LayerNormForwardRowScalar,
-    MinMaxScalar,
-    Int8QuantizeRowScalar,
-    Int8GemmDequantScalar,
-    Transpose2DScalar,
+    .backend = Backend::kScalar,
+    .Dot = DotScalar,
+    .Sum = SumScalar,
+    .SumSq = SumSqScalar,
+    .CenteredSumSq = CenteredSumSqScalar,
+    .Max = MaxScalar,
+    .Add = AddScalarBackend,
+    .Sub = SubScalarBackend,
+    .Mul = MulScalarBackend,
+    .Scale = ScaleScalar,
+    .AddScalar = AddScalarScalar,
+    .Axpy = AxpyScalar,
+    .MulAdd = MulAddScalar,
+    .MatMulBlockAxpy = MatMulBlockAxpyScalar,
+    .MatMulBlockDot = MatMulBlockDotScalar,
+    .ExpSubSum = ExpSubSumScalar,
+    .ExpSubSumConst = ExpSubSumConstScalar,
+    .Gelu = GeluScalar,
+    .Relu = ReluScalar,
+    .Tanh = TanhScalar,
+    .Sigmoid = SigmoidScalar,
+    .GeluBackward = GeluBackwardScalar,
+    .TanhBackward = TanhBackwardScalar,
+    .SigmoidBackward = SigmoidBackwardScalar,
+    .SoftmaxBackwardRow = SoftmaxBackwardRowScalar,
+    .LayerNormForwardRow = LayerNormForwardRowScalar,
+    .MinMax = MinMaxScalar,
+    .Int8QuantizeRow = Int8QuantizeRowScalar,
+    .Int8GemmDequant = Int8GemmDequantScalar,
+    .Transpose2D = Transpose2DScalar,
 };
 
 }  // namespace

@@ -15,7 +15,7 @@
 //      with the offending module named.
 //   3. The in-memory run status behind /trainz: per-task per-epoch loss
 //      series, eval F1/P/R series, a ring of recent steps, and sentinel
-//      state, rendered as sparkline tables (HTML) or JSON.
+//      state, served as JSON.
 //
 // Zero-overhead-when-off is the same hard contract as the serving-side
 // stack: the trainer asks TelemetryActive() once per step (relaxed atomic
@@ -215,9 +215,9 @@ void ObserveAttentionRows(int family, const Tensor& rows);
 // ---------------------------------------------------------------------------
 // /trainz
 
-/// The /trainz endpoint body (HTML, or JSON with ?format=json). Registered
-/// on the observability endpoint table automatically when this library is
-/// linked; exported for direct testing.
+/// The /trainz endpoint: the run status as JSON. Registered as an extra
+/// observability endpoint automatically when this library is linked;
+/// exported for direct testing.
 http::HttpResponse HandleTrainzRequest(const http::HttpRequest& req);
 
 // ---------------------------------------------------------------------------

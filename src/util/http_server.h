@@ -1,6 +1,6 @@
 // Minimal dependency-free HTTP/1.1 server shared by the live observability
-// endpoints (/metrics, /healthz, /tracez, /profilez — see observability.h)
-// and the online matching service (src/serve/ — /match, /dedupe).
+// endpoints (the endpoint table in observability.cc) and the online
+// matching service (src/serve/ — /match, /dedupe).
 //
 // Two operating modes, selected by HttpServerOptions::num_workers:
 //

@@ -144,36 +144,10 @@ void ResetTrainStateForTest() {
 
 namespace {
 
-void AppendHtmlEscaped(std::ostringstream* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '<': *out << "&lt;"; break;
-      case '>': *out << "&gt;"; break;
-      case '&': *out << "&amp;"; break;
-      default: *out << c;
-    }
-  }
-}
-
-std::string ArgValueToString(const trace::EventSnapshot::Arg& arg,
-                             bool json_quote_strings) {
-  switch (arg.type) {
-    case trace::SpanArg::Type::kInt64:
-      return std::to_string(arg.i);
-    case trace::SpanArg::Type::kDouble:
-      return json::NumberToString(arg.d);
-    case trace::SpanArg::Type::kString:
-      return json_quote_strings ? '"' + json::Escape(arg.s) + '"' : arg.s;
-    case trace::SpanArg::Type::kNone:
-      break;
-  }
-  return "null";
-}
-
 // Extra endpoints mounted by higher layers (RegisterObservabilityEndpoint).
 struct ExtraEndpoints {
   std::mutex mutex;
-  // Ordered map: the index page listing is deterministic.
+  // Ordered map: the `/` index listing is deterministic.
   std::map<std::string, std::function<http::HttpResponse(
                             const http::HttpRequest&)>>
       handlers;
@@ -184,45 +158,14 @@ ExtraEndpoints& GetExtraEndpoints() {
   return *endpoints;
 }
 
-http::HttpResponse HandleIndex() {
+http::HttpResponse JsonResponse(std::string body) {
   http::HttpResponse resp;
-  resp.content_type = "text/html; charset=utf-8";
-  std::ostringstream out;
-  out <<
-      "<!doctype html><title>emba observability</title>"
-      "<h1>emba observability</h1><ul>"
-      "<li><a href=\"/metrics\">/metrics</a> &mdash; Prometheus text "
-      "exposition</li>"
-      "<li><a href=\"/metrics.json\">/metrics.json</a> &mdash; registry JSON "
-      "dump</li>"
-      "<li><a href=\"/healthz\">/healthz</a> &mdash; run-state + heartbeat "
-      "age</li>"
-      "<li><a href=\"/tracez\">/tracez</a> &mdash; recent spans "
-      "(<a href=\"/tracez?format=json\">json</a>)</li>"
-      "<li><a href=\"/profilez?seconds=2\">/profilez?seconds=2</a> &mdash; "
-      "sampling profile (&amp;clock=cpu|wall)</li>"
-      "<li><a href=\"/rpcz\">/rpcz</a> &mdash; in-flight + retained slow/"
-      "errored requests (<a href=\"/rpcz?format=json\">json</a>, "
-      "&amp;trace_id=&lt;hex&gt;)</li>"
-      "<li><a href=\"/buildz\">/buildz</a> &mdash; build + runtime "
-      "provenance</li>";
-  {
-    ExtraEndpoints& extra = GetExtraEndpoints();
-    std::lock_guard<std::mutex> lock(extra.mutex);
-    for (const auto& entry : extra.handlers) {
-      out << "<li><a href=\"";
-      AppendHtmlEscaped(&out, entry.first);
-      out << "\">";
-      AppendHtmlEscaped(&out, entry.first);
-      out << "</a></li>";
-    }
-  }
-  out << "</ul>";
-  resp.body = out.str();
+  resp.content_type = "application/json";
+  resp.body = std::move(body);
   return resp;
 }
 
-http::HttpResponse HandleMetrics() {
+http::HttpResponse HandleMetrics(const http::HttpRequest&) {
   metrics::SampleProcessGauges();
   http::HttpResponse resp;
   resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
@@ -230,23 +173,15 @@ http::HttpResponse HandleMetrics() {
   return resp;
 }
 
-http::HttpResponse HandleMetricsJson() {
+http::HttpResponse HandleMetricsJson(const http::HttpRequest&) {
   metrics::SampleProcessGauges();
-  http::HttpResponse resp;
-  resp.content_type = "application/json";
-  resp.body = metrics::Registry::Global().ToJson();
-  return resp;
+  return JsonResponse(metrics::Registry::Global().ToJson());
 }
 
-http::HttpResponse HandleHealthz() {
+http::HttpResponse HandleHealthz(const http::HttpRequest&) {
   const HealthState state = GetHealthState();
   const metrics::ProcessStats stats = metrics::GetProcessStats();
   const double beat_age = HealthHeartbeatAgeSeconds();
-  http::HttpResponse resp;
-  resp.content_type = "application/json";
-  // Draining is the one state a load balancer should treat as "stop sending
-  // work here"; everything else (including starting) answers 200.
-  resp.status = state == HealthState::kDraining ? 503 : 200;
   std::ostringstream out;
   out << "{\"state\": \"" << HealthStateName(state) << "\", "
       << "\"heartbeat_age_seconds\": "
@@ -272,70 +207,17 @@ http::HttpResponse HandleHealthz() {
     out << ", \"last_checkpoint\": null";
   }
   out << "}\n";
-  resp.body = out.str();
+  http::HttpResponse resp = JsonResponse(out.str());
+  // Draining is the one state a load balancer should treat as "stop sending
+  // work here"; everything else (including starting) answers 200.
+  resp.status = state == HealthState::kDraining ? 503 : 200;
   return resp;
 }
 
 constexpr size_t kTracezEvents = 256;
 
-http::HttpResponse HandleTracez(const http::HttpRequest& req) {
-  const std::vector<trace::EventSnapshot> events =
-      trace::SnapshotRecentEvents(kTracezEvents);
-  http::HttpResponse resp;
-  std::ostringstream out;
-  if (http::QueryParam(req.query, "format") == "json") {
-    resp.content_type = "application/json";
-    out << "{\"tracing\": " << (trace::Enabled() ? "true" : "false")
-        << ", \"dropped\": " << trace::DroppedEventCount()
-        << ", \"events\": [";
-    for (size_t i = 0; i < events.size(); ++i) {
-      const trace::EventSnapshot& e = events[i];
-      out << (i == 0 ? "\n" : ",\n") << "  {\"name\": \""
-          << json::Escape(e.name) << "\", \"tid\": " << e.tid
-          << ", \"ts_ns\": " << e.ts_ns << ", \"dur_ns\": " << e.dur_ns;
-      if (!e.args.empty()) {
-        out << ", \"args\": {";
-        for (size_t a = 0; a < e.args.size(); ++a) {
-          if (a > 0) out << ", ";
-          out << '"' << json::Escape(e.args[a].name) << "\": "
-              << ArgValueToString(e.args[a], /*json_quote_strings=*/true);
-        }
-        out << "}";
-      }
-      out << "}";
-    }
-    out << (events.empty() ? "]" : "\n]") << "}\n";
-  } else {
-    resp.content_type = "text/html; charset=utf-8";
-    out << "<!doctype html><title>emba /tracez</title><h1>recent spans</h1>"
-        << "<p>tracing " << (trace::Enabled() ? "on" : "off") << ", "
-        << events.size() << " events shown, " << trace::DroppedEventCount()
-        << " dropped (<a href=\"/tracez?format=json\">json</a>)</p>"
-        << "<table border=\"1\" cellpadding=\"3\">"
-        << "<tr><th>name</th><th>tid</th><th>ts (ms)</th><th>dur (ms)</th>"
-        << "<th>args</th></tr>";
-    out.precision(3);
-    out << std::fixed;
-    for (const trace::EventSnapshot& e : events) {
-      out << "<tr><td>";
-      AppendHtmlEscaped(&out, e.name);
-      out << "</td><td>" << e.tid << "</td><td>"
-          << static_cast<double>(e.ts_ns) * 1e-6 << "</td><td>"
-          << static_cast<double>(e.dur_ns) * 1e-6 << "</td><td>";
-      for (size_t a = 0; a < e.args.size(); ++a) {
-        if (a > 0) out << ", ";
-        AppendHtmlEscaped(&out, e.args[a].name);
-        out << "=";
-        AppendHtmlEscaped(&out,
-                          ArgValueToString(e.args[a],
-                                           /*json_quote_strings=*/false));
-      }
-      out << "</td></tr>";
-    }
-    out << "</table>";
-  }
-  resp.body = out.str();
-  return resp;
+http::HttpResponse HandleTracez(const http::HttpRequest&) {
+  return JsonResponse(trace::RecentEventsJson(kTracezEvents));
 }
 
 http::HttpResponse HandleProfilez(const http::HttpRequest& req) {
@@ -411,99 +293,43 @@ void AppendRecordJson(std::ostringstream* out,
   *out << "}";
 }
 
-void AppendRecordHtmlRow(std::ostringstream* out,
-                         const rtrace::RequestRecord& rec) {
-  *out << "<tr><td><a href=\"/rpcz?trace_id=" << rec.trace_id_hex << "\">"
-       << rec.trace_id_hex << "</a></td><td>";
-  AppendHtmlEscaped(out, rec.endpoint);
-  *out << "</td><td>";
-  if (rec.in_flight) {
-    *out << "in flight";
-  } else {
-    *out << rec.status;
-  }
-  *out << "</td><td>" << rec.e2e_ms << "</td>";
-  for (int s = 0; s < rtrace::kStageCount; ++s) {
-    *out << "<td>" << rec.stage_ms[s] << "</td>";
-  }
-  *out << "<td>" << rec.other_ms << "</td><td>";
-  if (rec.has_batch) {
-    *out << "#" << rec.batch_id << " n=" << rec.batch_size << " ";
-    AppendHtmlEscaped(out, rec.fire_reason);
-    if (rec.int8_active) *out << " int8";
-  }
-  *out << "</td></tr>";
-}
-
 http::HttpResponse HandleRpcz(const http::HttpRequest& req) {
-  http::HttpResponse resp;
   std::ostringstream out;
 
-  // Single-request lookup: JSON always (the machine-facing contract the
-  // serve tests exercise). 404 when the id was never retained — the
+  // Single-request lookup. 404 when the id was never retained — the
   // tail-sampling policy is allowed to have dropped it.
   const std::string trace_id = http::QueryParam(req.query, "trace_id");
   if (!trace_id.empty()) {
-    resp.content_type = "application/json";
     rtrace::RequestRecord rec;
     if (!rtrace::FindRetainedHex(trace_id, &rec)) {
+      http::HttpResponse resp = JsonResponse(
+          "{\"error\": \"trace id not retained: " + json::Escape(trace_id) +
+          "\"}\n");
       resp.status = 404;
-      resp.body = "{\"error\": \"trace id not retained: " +
-                  json::Escape(trace_id) + "\"}\n";
       return resp;
     }
     AppendRecordJson(&out, rec);
     out << "\n";
-    resp.body = out.str();
-    return resp;
+    return JsonResponse(out.str());
   }
 
   const std::vector<rtrace::RequestRecord> in_flight =
       rtrace::SnapshotInFlight();
   const std::vector<rtrace::RequestRecord> retained =
       rtrace::SnapshotRetained();
-  if (http::QueryParam(req.query, "format") == "json") {
-    resp.content_type = "application/json";
-    out << "{\"tracing\": " << (rtrace::Enabled() ? "true" : "false")
-        << ", \"slowest_k\": " << rtrace::SlowestK() << ", \"in_flight\": [";
-    for (size_t i = 0; i < in_flight.size(); ++i) {
-      out << (i == 0 ? "\n" : ",\n") << "  ";
-      AppendRecordJson(&out, in_flight[i]);
-    }
-    out << (in_flight.empty() ? "]" : "\n]") << ", \"retained\": [";
-    for (size_t i = 0; i < retained.size(); ++i) {
-      out << (i == 0 ? "\n" : ",\n") << "  ";
-      AppendRecordJson(&out, retained[i]);
-    }
-    out << (retained.empty() ? "]" : "\n]") << "}\n";
-  } else {
-    resp.content_type = "text/html; charset=utf-8";
-    out.precision(3);
-    out << std::fixed;
-    out << "<!doctype html><title>emba /rpcz</title><h1>/rpcz</h1>"
-        << "<p>request tracing " << (rtrace::Enabled() ? "on" : "off")
-        << ", " << in_flight.size() << " in flight, " << retained.size()
-        << " retained (slowest-" << rtrace::SlowestK()
-        << " + recent errors; <a href=\"/rpcz?format=json\">json</a>)</p>";
-    const char* kHeader =
-        "<tr><th>trace id</th><th>endpoint</th><th>status</th>"
-        "<th>e2e (ms)</th><th>parse</th><th>queue_wait</th>"
-        "<th>batch_form</th><th>compute</th><th>serialize</th>"
-        "<th>other</th><th>batch</th></tr>";
-    out << "<h2>in flight</h2><table border=\"1\" cellpadding=\"3\">"
-        << kHeader;
-    for (const rtrace::RequestRecord& rec : in_flight) {
-      AppendRecordHtmlRow(&out, rec);
-    }
-    out << "</table><h2>retained (slowest first)</h2>"
-        << "<table border=\"1\" cellpadding=\"3\">" << kHeader;
-    for (const rtrace::RequestRecord& rec : retained) {
-      AppendRecordHtmlRow(&out, rec);
-    }
-    out << "</table>";
+  out << "{\"tracing\": " << (rtrace::Enabled() ? "true" : "false")
+      << ", \"slowest_k\": " << rtrace::SlowestK() << ", \"in_flight\": [";
+  for (size_t i = 0; i < in_flight.size(); ++i) {
+    out << (i == 0 ? "\n" : ",\n") << "  ";
+    AppendRecordJson(&out, in_flight[i]);
   }
-  resp.body = out.str();
-  return resp;
+  out << (in_flight.empty() ? "]" : "\n]") << ", \"retained\": [";
+  for (size_t i = 0; i < retained.size(); ++i) {
+    out << (i == 0 ? "\n" : ",\n") << "  ";
+    AppendRecordJson(&out, retained[i]);
+  }
+  out << (retained.empty() ? "]" : "\n]") << "}\n";
+  return JsonResponse(out.str());
 }
 
 // ---------------------------------------------------------------------------
@@ -520,7 +346,8 @@ const char* const kEnvKnobs[] = {
     "EMBA_ARENA_BYTES",  "EMBA_NUM_THREADS", "EMBA_METRICS_OUT",
     "EMBA_TRACE_OUT",    "EMBA_OBS_PORT",    "EMBA_RTRACE",
     "EMBA_ACCESS_LOG",   "EMBA_RPCZ_K",      "EMBA_TRAIN_EVENTS",
-    "EMBA_NAN_ABORT",    "EMBA_ATTN_STATS",
+    "EMBA_NAN_ABORT",    "EMBA_ATTN_STATS",  "EMBA_LOG_LEVEL",
+    "EMBA_BENCH_SCALE",  "EMBA_BENCH_ROWS",
 };
 
 struct BuildzSections {
@@ -534,9 +361,7 @@ BuildzSections& GetBuildzSections() {
   return *sections;
 }
 
-http::HttpResponse HandleBuildz() {
-  http::HttpResponse resp;
-  resp.content_type = "application/json";
+http::HttpResponse HandleBuildz(const http::HttpRequest&) {
   std::ostringstream out;
   const metrics::ProcessStats stats = metrics::GetProcessStats();
   const double now_unix =
@@ -569,8 +394,47 @@ http::HttpResponse HandleBuildz() {
     }
   }
   out << "}\n";
-  resp.body = out.str();
-  return resp;
+  return JsonResponse(out.str());
+}
+
+http::HttpResponse HandleIndex(const http::HttpRequest&);
+
+// The built-in endpoints. Dispatch, the shadowing check of
+// RegisterObservabilityEndpoint, the `/` index and the server's startup log
+// line all read this one table.
+constexpr struct {
+  const char* path;
+  http::HttpResponse (*handler)(const http::HttpRequest&);
+} kEndpoints[] = {
+    {"/", &HandleIndex},
+    {"/metrics", &HandleMetrics},
+    {"/metrics.json", &HandleMetricsJson},
+    {"/healthz", &HandleHealthz},
+    {"/tracez", &HandleTracez},
+    {"/profilez", &HandleProfilez},
+    {"/rpcz", &HandleRpcz},
+    {"/buildz", &HandleBuildz},
+};
+
+// Built-in paths in table order, then registered extras in path order.
+std::vector<std::string> EndpointPaths() {
+  std::vector<std::string> paths;
+  for (const auto& endpoint : kEndpoints) paths.emplace_back(endpoint.path);
+  ExtraEndpoints& extra = GetExtraEndpoints();
+  std::lock_guard<std::mutex> lock(extra.mutex);
+  for (const auto& entry : extra.handlers) paths.push_back(entry.first);
+  return paths;
+}
+
+http::HttpResponse HandleIndex(const http::HttpRequest&) {
+  std::ostringstream out;
+  out << "{\"endpoints\": [";
+  const std::vector<std::string> paths = EndpointPaths();
+  for (size_t i = 0; i < paths.size(); ++i) {
+    out << (i == 0 ? "\"" : ", \"") << json::Escape(paths[i]) << '"';
+  }
+  out << "]}\n";
+  return JsonResponse(out.str());
 }
 
 http::HttpResponse DispatchRequest(const http::HttpRequest& req) {
@@ -582,14 +446,9 @@ http::HttpResponse DispatchRequest(const http::HttpRequest& req) {
     resp.body = "observability endpoints are GET-only\n";
     return resp;
   }
-  if (req.path == "/" || req.path == "/index.html") return HandleIndex();
-  if (req.path == "/metrics") return HandleMetrics();
-  if (req.path == "/metrics.json") return HandleMetricsJson();
-  if (req.path == "/healthz") return HandleHealthz();
-  if (req.path == "/tracez") return HandleTracez(req);
-  if (req.path == "/profilez") return HandleProfilez(req);
-  if (req.path == "/rpcz") return HandleRpcz(req);
-  if (req.path == "/buildz") return HandleBuildz();
+  for (const auto& endpoint : kEndpoints) {
+    if (req.path == endpoint.path) return endpoint.handler(req);
+  }
   {
     // Registered extras (/trainz, ...). The handler is copied out so a
     // concurrent re-registration cannot invalidate it mid-call.
@@ -626,14 +485,10 @@ void RegisterObservabilityEndpoint(
     std::function<http::HttpResponse(const http::HttpRequest&)> handler) {
   EMBA_CHECK_MSG(!path.empty() && path[0] == '/',
                  "endpoint path must start with '/'");
-  // Built-ins are dispatched before the extras table, so shadowing one here
-  // would silently never fire — reject it loudly instead.
-  static const char* const kBuiltins[] = {
-      "/",     "/index.html", "/metrics", "/metrics.json", "/healthz",
-      "/tracez", "/profilez", "/rpcz",    "/buildz",
-  };
-  for (const char* builtin : kBuiltins) {
-    EMBA_CHECK_MSG(path != builtin,
+  // Built-ins are dispatched before the extras, so shadowing one here would
+  // silently never fire — reject it loudly instead.
+  for (const auto& endpoint : kEndpoints) {
+    EMBA_CHECK_MSG(path != endpoint.path,
                    "cannot shadow built-in observability endpoint");
   }
   ExtraEndpoints& extra = GetExtraEndpoints();
@@ -665,9 +520,10 @@ Status StartObservabilityServer(int port) {
   EMBA_RETURN_NOT_OK(server->Start(port));
   g_server = std::move(server);
   g_server_running.store(true, std::memory_order_release);
+  std::string paths;
+  for (const std::string& path : EndpointPaths()) paths += " " + path;
   EMBA_LOG(INFO) << "observability server listening on port "
-                 << g_server->port()
-                 << " (/metrics /healthz /tracez /profilez)";
+                 << g_server->port() << " (" << paths.substr(1) << ")";
   return Status::OK();
 }
 

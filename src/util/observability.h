@@ -4,19 +4,11 @@
 // registers an atexit flush, and offers explicit overrides for CLI flags
 // (--metrics-out / --trace-out / --serve-obs).
 //
-// Live endpoints (DESIGN.md §11 has the full table):
-//   /              tiny HTML index linking the endpoints below
-//   /metrics       Prometheus text exposition (counters, gauges, histograms)
-//   /metrics.json  the registry's JSON dump (same bytes as --metrics-out)
-//   /healthz       run-state + heartbeat age; 200 while live, 503 draining
-//   /tracez        recent spans; HTML by default, ?format=json for machines
-//   /profilez      on-demand sampling profile; ?seconds=N&clock=cpu|wall
-//   /rpcz          in-flight + retained slowest/errored requests with their
-//                  per-stage breakdowns (util/request_trace); ?format=json,
-//                  ?trace_id=<hex> for a single-request lookup
-//   /buildz        build + runtime provenance: git SHA, compiler, process
-//                  start time, EMBA_* knobs, plus sections registered by
-//                  higher layers (SIMD backend, int8 mode, arena)
+// Live endpoints: the built-in list is the kEndpoints table in
+// observability.cc; `/` answers it as JSON together with endpoints that
+// higher layers register (/trainz). Every endpoint answers JSON except
+// /metrics (Prometheus text) and /profilez (collapsed stacks). DESIGN.md §11
+// describes each one.
 //
 // Everything here is opt-in: with no server started, no thread is spawned,
 // no socket is opened, and the hot-path cost of metrics/trace
@@ -122,9 +114,10 @@ bool ObservabilityServerRunning();
 /// Bound port of the running server; 0 when not running.
 int ObservabilityServerPort();
 
-/// Routes one request through the observability endpoint table (/metrics,
-/// /metrics.json, /healthz, /tracez, /profilez, /rpcz, /buildz, the index;
-/// 404 otherwise; 405 for non-GET). The observability server's own handler
+/// Routes one request through the observability endpoint table (the
+/// built-ins, then registered extras; 404 otherwise; 405 for non-GET).
+/// Query parameters an endpoint does not read are ignored. The
+/// observability server's own handler
 /// — exported so other servers (the matching service) can serve the same
 /// endpoints on their port instead of running a second listener.
 http::HttpResponse HandleObservabilityRequest(const http::HttpRequest& req);
@@ -144,7 +137,7 @@ void AddBuildzSection(const std::string& key,
 /// /trainz). `path` must start with '/'; built-in endpoints cannot be
 /// shadowed; re-registering a path replaces its handler. Handlers must be
 /// thread-safe; they run on the server's request threads. Registered
-/// endpoints appear on the index page.
+/// endpoints appear in the `/` index.
 void RegisterObservabilityEndpoint(
     const std::string& path,
     std::function<http::HttpResponse(const http::HttpRequest&)> handler);

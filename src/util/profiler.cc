@@ -13,6 +13,7 @@
 #include <cstring>
 #include <map>
 #include <sstream>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -37,16 +38,28 @@ Sample g_samples[kMaxSamples];
 std::atomic<int> g_claim_index{0};
 std::atomic<bool> g_collecting{false};
 std::atomic<bool> g_profile_active{false};
+// Handlers currently running, on any thread. Clearing g_collecting does not
+// stop a handler that already passed its check, so the collector waits for
+// this to drain before it reads g_samples. The increment and the
+// g_collecting load are seq_cst, like the collector's store and its load of
+// this counter: a handler the collector did not count sees g_collecting ==
+// false, and the release decrement publishes a counted handler's sample.
+std::atomic<int> g_handlers_running{0};
 
-// Everything here must be async-signal-safe. backtrace() allocates on its
-// *first* call (lazy libgcc init), so CollectProfile pre-warms it outside
-// the handler; subsequent calls only walk the stack.
+// Everything here must be async-signal-safe (lock-free atomics are).
+// backtrace() allocates on its *first* call (lazy libgcc init), so
+// CollectProfile pre-warms it outside the handler; subsequent calls only
+// walk the stack.
 void ProfileSignalHandler(int /*signum*/) {
-  if (!g_collecting.load(std::memory_order_relaxed)) return;
-  const int idx = g_claim_index.fetch_add(1, std::memory_order_relaxed);
-  if (idx >= kMaxSamples) return;
-  Sample& s = g_samples[idx];
-  s.depth = backtrace(s.frames, kMaxFrames);
+  g_handlers_running.fetch_add(1);
+  if (g_collecting.load()) {
+    const int idx = g_claim_index.fetch_add(1, std::memory_order_relaxed);
+    if (idx < kMaxSamples) {
+      Sample& s = g_samples[idx];
+      s.depth = backtrace(s.frames, kMaxFrames);
+    }
+  }
+  g_handlers_running.fetch_sub(1, std::memory_order_release);
 }
 
 void PrewarmBacktrace() {
@@ -164,11 +177,13 @@ Result<std::string> CollectProfile(double seconds, ProfileClock clock,
 
   SleepFor(seconds);
 
-  // Disarm, quiesce, restore. A signal already in flight after the disarm
-  // sees g_collecting == false and records nothing.
+  // Disarm, quiesce, restore. A signal delivered after the disarm sees
+  // g_collecting == false and records nothing; a handler already past that
+  // check finishes its sample before g_handlers_running drops to zero.
   itimerval off{};
   setitimer(which, &off, nullptr);
-  g_collecting.store(false, std::memory_order_release);
+  g_collecting.store(false);
+  while (g_handlers_running.load() != 0) std::this_thread::yield();
   sigaction(signum, &old_action, nullptr);
 
   const int claimed = g_claim_index.load(std::memory_order_relaxed);

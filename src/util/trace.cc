@@ -222,6 +222,7 @@ struct FlatEvent {
   int tid = 0;
 };
 
+// Every buffered event, sorted by start timestamp (oldest first).
 std::vector<FlatEvent> CollectEvents(uint64_t* dropped) {
   Global& g = G();
   std::vector<FlatEvent> events;
@@ -232,9 +233,11 @@ std::vector<FlatEvent> CollectEvents(uint64_t* dropped) {
       events.push_back({event, buffer->tid});
     }
   }
-  if (dropped != nullptr) {
-    *dropped = g.dropped.load(std::memory_order_relaxed);
-  }
+  *dropped = g.dropped.load(std::memory_order_relaxed);
+  std::stable_sort(events.begin(), events.end(),
+                   [](const FlatEvent& a, const FlatEvent& b) {
+                     return a.event.ts_ns < b.event.ts_ns;
+                   });
   return events;
 }
 
@@ -242,11 +245,7 @@ std::vector<FlatEvent> CollectEvents(uint64_t* dropped) {
 
 Status WriteJson(const std::string& path) {
   uint64_t dropped = 0;
-  std::vector<FlatEvent> events = CollectEvents(&dropped);
-  std::stable_sort(events.begin(), events.end(),
-                   [](const FlatEvent& a, const FlatEvent& b) {
-                     return a.event.ts_ns < b.event.ts_ns;
-                   });
+  const std::vector<FlatEvent> events = CollectEvents(&dropped);
 
   std::ostringstream out;
   out << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
@@ -273,48 +272,24 @@ Status WriteJson(const std::string& path) {
   return WriteFileAtomic(path, out.str());
 }
 
-std::vector<EventSnapshot> SnapshotRecentEvents(size_t max_events) {
-  std::vector<FlatEvent> events = CollectEvents(nullptr);
-  std::stable_sort(events.begin(), events.end(),
-                   [](const FlatEvent& a, const FlatEvent& b) {
-                     return a.event.ts_ns < b.event.ts_ns;
-                   });
-  if (events.size() > max_events) {
-    events.erase(events.begin(),
-                 events.end() - static_cast<long>(max_events));
+std::string RecentEventsJson(size_t max_events) {
+  uint64_t dropped = 0;
+  const std::vector<FlatEvent> events = CollectEvents(&dropped);
+  const size_t first =
+      events.size() > max_events ? events.size() - max_events : 0;
+  std::ostringstream out;
+  out << "{\"tracing\": " << (Enabled() ? "true" : "false")
+      << ", \"dropped\": " << dropped << ", \"events\": [";
+  for (size_t i = first; i < events.size(); ++i) {
+    const Event& event = events[i].event;
+    out << (i == first ? "\n" : ",\n") << "  {\"name\": \""
+        << json::Escape(event.name()) << "\", \"tid\": " << events[i].tid
+        << ", \"ts_ns\": " << event.ts_ns << ", \"dur_ns\": " << event.dur_ns;
+    AppendArgsJson(&out, event.args);
+    out << "}";
   }
-  std::vector<EventSnapshot> out;
-  out.reserve(events.size());
-  for (const FlatEvent& flat : events) {
-    EventSnapshot snap;
-    snap.name = flat.event.name();
-    snap.tid = flat.tid;
-    snap.ts_ns = flat.event.ts_ns;
-    snap.dur_ns = flat.event.dur_ns;
-    for (int a = 0; a < kMaxSpanArgs; ++a) {
-      const SpanArg& arg = flat.event.args[a];
-      if (arg.name == nullptr) continue;
-      EventSnapshot::Arg copy;
-      copy.name = arg.name;
-      copy.type = arg.type;
-      switch (arg.type) {
-        case SpanArg::Type::kInt64:
-          copy.i = arg.i;
-          break;
-        case SpanArg::Type::kDouble:
-          copy.d = arg.d;
-          break;
-        case SpanArg::Type::kString:
-          copy.s = arg.s;
-          break;
-        case SpanArg::Type::kNone:
-          break;
-      }
-      snap.args.push_back(std::move(copy));
-    }
-    out.push_back(std::move(snap));
-  }
-  return out;
+  out << (first == events.size() ? "]" : "\n]") << "}\n";
+  return out.str();
 }
 
 size_t BufferedEventCount() {

@@ -41,7 +41,6 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <vector>
 
 #include "util/status.h"
 
@@ -128,26 +127,11 @@ void RecordSpanCopy(const std::string& name, Clock::time_point begin,
 /// tracer is still running.
 Status WriteJson(const std::string& path);
 
-/// Owned copy of one buffered event, for in-process consumers (/tracez).
-struct EventSnapshot {
-  std::string name;
-  int tid = 0;
-  int64_t ts_ns = 0;
-  int64_t dur_ns = 0;
-  struct Arg {
-    std::string name;
-    SpanArg::Type type = SpanArg::Type::kNone;
-    int64_t i = 0;
-    double d = 0.0;
-    std::string s;
-  };
-  std::vector<Arg> args;
-};
-
-/// The most recent `max_events` buffered events across all threads, sorted
-/// by start timestamp (oldest first). Cheap relative to its call rate: takes
-/// each buffer's mutex once and copies names into owned strings.
-std::vector<EventSnapshot> SnapshotRecentEvents(size_t max_events);
+/// The /tracez body: the most recent `max_events` buffered events across all
+/// threads, oldest first, as one JSON object
+/// ({"tracing": ..., "dropped": ..., "events": [...]}). Event args are
+/// written exactly as in WriteJson.
+std::string RecentEventsJson(size_t max_events);
 
 /// Events currently buffered across all threads (tests; cheap, takes each
 /// buffer's mutex once).

@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -105,6 +106,67 @@ Result<HttpResult> HttpGet(int port, const std::string& target) {
 }
 
 bool IsJson(const std::string& text) { return json::Parse(text).ok(); }
+
+// A failed parse fails the test and yields null.
+json::Value ParseJson(const std::string& text) {
+  Result<json::Value> parsed = json::Parse(text);
+  EXPECT_TRUE(parsed.ok()) << parsed.status() << "\n" << text;
+  return parsed.ok() ? *parsed : json::Value();
+}
+
+// The string member `key` of `v`; "<missing>" when absent or not a string.
+std::string StringAt(const json::Value& v, const std::string& key) {
+  const json::Value* m = v.Find(key);
+  return m != nullptr && m->is_string() ? m->AsString() : "<missing>";
+}
+
+// The first element of array member `key` whose "name" is `name`.
+const json::Value* EventNamed(const json::Value& v, const std::string& key,
+                              const std::string& name) {
+  const json::Value* events = v.Find(key);
+  if (events == nullptr || !events->is_array()) return nullptr;
+  for (const json::Value& e : events->AsArray()) {
+    if (StringAt(e, "name") == name) return &e;
+  }
+  return nullptr;
+}
+
+http::HttpResponse Get(const std::string& path, const std::string& query) {
+  http::HttpRequest req;
+  req.method = "GET";
+  req.path = path;
+  req.query = query;
+  return HandleObservabilityRequest(req);
+}
+
+// `text` with every number outside a JSON string replaced by 0, so two
+// scrapes of an endpoint whose values move between calls (uptime, RSS,
+// request counters) compare equal in every key, string and separator.
+std::string MaskNumbers(const std::string& text) {
+  std::string out;
+  bool in_string = false;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (in_string) {
+      out += c;
+      if (c == '\\' && i + 1 < text.size()) {
+        out += text[++i];
+      } else if (c == '"') {
+        in_string = false;
+      }
+    } else if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
+      while (i + 1 < text.size() &&
+             std::strchr("0123456789+-.eE", text[i + 1]) != nullptr) {
+        ++i;
+      }
+      out += '0';
+    } else {
+      in_string = c == '"';
+      out += c;
+    }
+  }
+  return out;
+}
 
 // ---------------------------------------------------------------------------
 // Prometheus exposition checks shared by the syntax and concurrency tests.
@@ -360,7 +422,7 @@ TEST_F(ObsServerTest, HealthzReflectsStateTransitions) {
   SetHealthState(HealthState::kStarting);
 }
 
-TEST_F(ObsServerTest, TracezServesTypedArgsAsJsonAndHtml) {
+TEST_F(ObsServerTest, TracezServesTypedArgsAsJson) {
   trace::Start();
   {
     EMBA_TRACE_SPAN_ARGS("obs_test/span", {"step", 41}, {"lr", 0.25},
@@ -369,7 +431,7 @@ TEST_F(ObsServerTest, TracezServesTypedArgsAsJsonAndHtml) {
   ASSERT_TRUE(StartObservabilityServer(0).ok());
   const int port = ObservabilityServerPort();
 
-  auto json = HttpGet(port, "/tracez?format=json");
+  auto json = HttpGet(port, "/tracez");
   ASSERT_TRUE(json.ok());
   EXPECT_EQ(json->status, 200);
   EXPECT_TRUE(IsJson(json->body)) << json->body;
@@ -377,12 +439,6 @@ TEST_F(ObsServerTest, TracezServesTypedArgsAsJsonAndHtml) {
   EXPECT_NE(json->body.find("\"step\": 41"), std::string::npos);
   EXPECT_NE(json->body.find("\"lr\": 0.25"), std::string::npos);
   EXPECT_NE(json->body.find("\"mode\": \"unit-test\""), std::string::npos);
-
-  auto html = HttpGet(port, "/tracez");
-  ASSERT_TRUE(html.ok());
-  EXPECT_EQ(html->status, 200);
-  EXPECT_NE(html->body.find("obs_test/span"), std::string::npos);
-  EXPECT_NE(html->body.find("mode=unit-test"), std::string::npos);
 }
 
 TEST_F(ObsServerTest, UnknownPathIs404AndBadMethodRejected) {
@@ -391,10 +447,45 @@ TEST_F(ObsServerTest, UnknownPathIs404AndBadMethodRejected) {
   auto missing = HttpGet(port, "/nope");
   ASSERT_TRUE(missing.ok());
   EXPECT_EQ(missing->status, 404);
-  auto index = HttpGet(port, "/");
-  ASSERT_TRUE(index.ok());
-  EXPECT_EQ(index->status, 200);
-  EXPECT_NE(index->body.find("/metrics"), std::string::npos);
+  http::HttpRequest post;
+  post.method = "POST";
+  post.path = "/metrics";
+  EXPECT_EQ(HandleObservabilityRequest(post).status, 405);
+}
+
+// The endpoint table end to end: `/` lists every built-in path plus the
+// registered /trainz, every listed path answers, and the JSON endpoints
+// ignore the retired `format` parameter.
+TEST_F(ObsServerTest, IndexListsEveryEndpointAndEachOneAnswers) {
+  const http::HttpResponse index = Get("/", "");
+  EXPECT_EQ(index.status, 200);
+  const json::Value listing = ParseJson(index.body);
+  const json::Value* endpoints = listing.Find("endpoints");
+  ASSERT_TRUE(endpoints != nullptr && endpoints->is_array()) << index.body;
+  std::vector<std::string> paths;
+  for (const json::Value& path : endpoints->AsArray()) {
+    ASSERT_TRUE(path.is_string());
+    paths.push_back(path.AsString());
+  }
+  for (const char* want : {"/", "/metrics", "/metrics.json", "/healthz",
+                           "/tracez", "/profilez", "/rpcz", "/buildz",
+                           "/trainz"}) {
+    EXPECT_NE(std::find(paths.begin(), paths.end(), want), paths.end())
+        << want << " missing from " << index.body;
+  }
+  for (const std::string& path : paths) {
+    const http::HttpResponse plain =
+        Get(path, path == "/profilez" ? "seconds=0.05" : "");
+    EXPECT_NE(plain.status, 404) << path;
+    // /metrics (Prometheus text) and /profilez (collapsed stacks) are the
+    // two non-JSON endpoints.
+    if (path == "/metrics" || path == "/profilez") continue;
+    EXPECT_EQ(plain.content_type, "application/json") << path;
+    EXPECT_TRUE(IsJson(plain.body)) << path << "\n" << plain.body;
+    EXPECT_EQ(MaskNumbers(Get(path, "format=json").body),
+              MaskNumbers(plain.body))
+        << path;
+  }
 }
 
 TEST_F(ObsServerTest, BuildzReportsProvenanceAndEnvKnobs) {
@@ -413,24 +504,19 @@ TEST_F(ObsServerTest, BuildzReportsProvenanceAndEnvKnobs) {
   // Every knob the codebase reads is reported, set or not.
   for (const char* knob :
        {"EMBA_SIMD", "EMBA_INT8", "EMBA_RTRACE", "EMBA_ACCESS_LOG",
-        "EMBA_RPCZ_K", "EMBA_NUM_THREADS"}) {
+        "EMBA_RPCZ_K", "EMBA_NUM_THREADS", "EMBA_LOG_LEVEL",
+        "EMBA_BENCH_SCALE", "EMBA_BENCH_ROWS"}) {
     EXPECT_NE(buildz->body.find("\"" + std::string(knob) + "\": "),
               std::string::npos)
         << knob << " missing from /buildz";
   }
 }
 
-TEST_F(ObsServerTest, RpczServesHtmlAndJsonWhenIdle) {
+TEST_F(ObsServerTest, RpczServesJsonWhenIdle) {
   ASSERT_TRUE(StartObservabilityServer(0).ok());
   const int port = ObservabilityServerPort();
 
-  auto html = HttpGet(port, "/rpcz");
-  ASSERT_TRUE(html.ok()) << html.status().ToString();
-  EXPECT_EQ(html->status, 200);
-  EXPECT_NE(html->body.find("request tracing"), std::string::npos);
-  EXPECT_NE(html->body.find("retained"), std::string::npos);
-
-  auto json = HttpGet(port, "/rpcz?format=json");
+  auto json = HttpGet(port, "/rpcz");
   ASSERT_TRUE(json.ok());
   EXPECT_EQ(json->status, 200);
   EXPECT_TRUE(IsJson(json->body)) << json->body;
@@ -569,44 +655,12 @@ TEST_F(ObsServerTest, WriteJsonEmitsTypedSpanArgs) {
 // ---------------------------------------------------------------------------
 // String escaping through the real JSON emitters
 
-// A failed parse fails the test and yields null.
-json::Value ParseJson(const std::string& text) {
-  Result<json::Value> parsed = json::Parse(text);
-  EXPECT_TRUE(parsed.ok()) << parsed.status() << "\n" << text;
-  return parsed.ok() ? *parsed : json::Value();
-}
-
-// The string member `key` of `v`; "<missing>" when absent or not a string.
-std::string StringAt(const json::Value& v, const std::string& key) {
-  const json::Value* m = v.Find(key);
-  return m != nullptr && m->is_string() ? m->AsString() : "<missing>";
-}
-
-// The first element of array member `key` whose "name" is `name`.
-const json::Value* EventNamed(const json::Value& v, const std::string& key,
-                              const std::string& name) {
-  const json::Value* events = v.Find(key);
-  if (events == nullptr || !events->is_array()) return nullptr;
-  for (const json::Value& e : events->AsArray()) {
-    if (StringAt(e, "name") == name) return &e;
-  }
-  return nullptr;
-}
-
-http::HttpResponse Get(const std::string& path, const std::string& query) {
-  http::HttpRequest req;
-  req.method = "GET";
-  req.path = path;
-  req.query = query;
-  return HandleObservabilityRequest(req);
-}
-
 TEST_F(ObsServerTest, ControlBytesSurviveEveryJsonEmitter) {
   const std::string endpoint = "/a\x01" "b";
   const std::string arg = "a\nb\x1f";
   const std::string counter = "obs_test.quote\"name";
 
-  // A request record: the access-log line and /rpcz?format=json.
+  // A request record: the access-log line and /rpcz.
   const std::string log_path = "/tmp/emba_obs_control_bytes_access.jsonl";
   std::filesystem::remove(log_path);
   rtrace::ResetForTest();
@@ -619,7 +673,7 @@ TEST_F(ObsServerTest, ControlBytesSurviveEveryJsonEmitter) {
   ASSERT_TRUE(rtrace::FlushAccessLog().ok());
   EXPECT_EQ(StringAt(ParseJson(ReadWholeFile(log_path)), "endpoint"),
             endpoint);
-  const json::Value rpcz = ParseJson(Get("/rpcz", "format=json").body);
+  const json::Value rpcz = ParseJson(Get("/rpcz", "").body);
   const json::Value* retained = rpcz.Find("retained");
   ASSERT_TRUE(retained != nullptr && retained->is_array());
   ASSERT_EQ(retained->AsArray().size(), 1u);
@@ -637,7 +691,7 @@ TEST_F(ObsServerTest, ControlBytesSurviveEveryJsonEmitter) {
   ASSERT_TRUE(trace::WriteJson(trace_path).ok());
   const json::Value chrome = ParseJson(ReadWholeFile(trace_path));
   std::filesystem::remove(trace_path);
-  const json::Value tracez = ParseJson(Get("/tracez", "format=json").body);
+  const json::Value tracez = ParseJson(Get("/tracez", "").body);
   for (const json::Value* doc : {&chrome, &tracez}) {
     const json::Value* span = EventNamed(
         *doc, doc == &chrome ? "traceEvents" : "events",

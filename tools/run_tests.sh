@@ -13,6 +13,10 @@
 # src/tensor/int8.h — holds its tolerance contract everywhere, not just in
 # the tests that opt into it).
 #
+# Last, tier1 (serve battery included) runs once more from a second build
+# tree, build-tsan/, compiled with GCC -fsanitize=thread; any data race
+# report fails the suite (there are no suppressions).
+#
 # Usage: tools/run_tests.sh [extra ctest args...]
 # Honors EMBA_NUM_THREADS for the thread-pool width under test.
 set -euo pipefail
@@ -38,3 +42,11 @@ echo "=== serve_bench smoke (int8 quantized path) ==="
 ./bench/serve_bench --duration 5 --rps 200 --p99-ms 250 --int8
 echo "=== slow (integration tests) ==="
 ctest -L slow --output-on-failure -j "$@"
+
+cd ..
+cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS=-fsanitize=thread -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread
+cmake --build build-tsan -j
+cd build-tsan
+echo "=== tier1 under ThreadSanitizer (no suppressions) ==="
+ctest -L tier1 --output-on-failure -j "$@"
