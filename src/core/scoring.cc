@@ -4,7 +4,6 @@
 #include "tensor/arena.h"
 #include "tensor/kernels.h"
 #include "util/metrics.h"
-#include "util/request_trace.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -107,17 +106,7 @@ std::vector<double> BatchMatchProbabilities(
   static metrics::Histogram& batch_latency =
       metrics::GetHistogram("scoring.batch_latency_ms");
   pairs_scored.Increment(samples.size());
-  const double elapsed_ms = batch_timer.ElapsedMillis();
-  batch_latency.Observe(elapsed_ms);
-  // Attribute the model-forward part of the batch to the serving batch span
-  // currently scored on this thread, if any — splits "compute" into core
-  // forward vs batcher overhead on /rpcz without widening ScoreFn.
-  if (rtrace::Enabled()) {
-    if (rtrace::BatchSpan* span = rtrace::ThreadBatchSpan()) {
-      span->forward_ns.fetch_add(static_cast<int64_t>(elapsed_ms * 1e6),
-                                 std::memory_order_relaxed);
-    }
-  }
+  batch_latency.Observe(batch_timer.ElapsedMillis());
   return probabilities;
 }
 

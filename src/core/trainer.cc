@@ -489,9 +489,10 @@ Status Trainer::Run(TrainResult* out) {
   }
 
   // ---- Training observability (src/train_obs, DESIGN.md §11) ----
-  // StartRun resets the /trainz run status and opens (or, on resume, trims)
-  // the JSONL event log; both are once-per-run costs. The per-step hooks
-  // below all hide behind one TelemetryActive() relaxed-load gate.
+  // StartRun resets the /trainz run status, groups the parameters by
+  // module and opens (or, on resume, trims) the JSONL event log; all are
+  // once-per-run costs. The per-step hooks below all hide behind one
+  // TelemetryActive() relaxed-load gate.
   if (config_.nan_abort) train_obs::SetNanAbort(true);
   {
     train_obs::RunInfo run_info;
@@ -503,30 +504,18 @@ Status Trainer::Run(TrainResult* out) {
     run_info.resumed = resumed_run;
     run_info.resume_step = state.global_step;
     run_info.resume_epoch = state.next_epoch;
+    // NamedParameters() walks the tree in Parameters() order, so index i
+    // aligns across these names, `params`, `weights` and the optimizer's
+    // update norms.
+    for (const auto& [name, var] : model_->NamedParameters()) {
+      run_info.param_names.push_back(name);
+    }
     EMBA_RETURN_NOT_OK(train_obs::StartRun(run_info));
   }
-  // Dotted parameter names (for per-module sentinel attribution) and the
-  // param → top-level-module map, resolved once; Parameters() and
-  // NamedParameters() walk the tree in the same order, so index i aligns
-  // across `params`, `named` and the optimizer's update norms.
-  const auto named = model_->NamedParameters();
-  std::vector<std::string> module_names;
-  std::vector<size_t> param_module(named.size(), 0);
-  for (size_t pi = 0; pi < named.size(); ++pi) {
-    const std::string& name = named[pi].first;
-    const std::string module = name.substr(0, name.find('.'));
-    size_t mi = module_names.size();
-    for (size_t m = 0; m < module_names.size(); ++m) {
-      if (module_names[m] == module) {
-        mi = m;
-        break;
-      }
-    }
-    if (mi == module_names.size()) module_names.push_back(module);
-    param_module[pi] = mi;
-  }
-  std::vector<std::pair<const std::string*, const Tensor*>> grad_scratch;
-  grad_scratch.reserve(named.size());
+  std::vector<const Tensor*> weights;
+  for (const ag::Var& p : params) weights.push_back(&p.value());
+  std::vector<const Tensor*> grad_scratch;
+  grad_scratch.reserve(params.size());
   bool collecting_update_norms = false;
 
   int64_t trained_pairs = state.trained_pairs;
@@ -602,9 +591,8 @@ Status Trainer::Run(TrainResult* out) {
             epoch_breakdown.id1 - step_before.id1,
             epoch_breakdown.id2 - step_before.id2, &loss_offender);
         grad_scratch.clear();
-        for (const auto& [name, var] : named) {
-          grad_scratch.emplace_back(&name,
-                                    var.has_grad() ? &var.grad() : nullptr);
+        for (const ag::Var& p : params) {
+          grad_scratch.push_back(p.has_grad() ? &p.grad() : nullptr);
         }
         grad_obs = train_obs::ObserveGradients(grad_scratch);
         if (train_obs::NanAbort()) {
@@ -640,37 +628,12 @@ Status Trainer::Run(TrainResult* out) {
         ev.lr = static_cast<double>(optimizer.learning_rate());
         ev.grad_norm = grad_obs.global_norm;
         ev.step_ms = step_ms;
-        // Update-to-weight ratio √Σ‖δ‖²/√Σ‖w‖², global and per module, from
-        // the optimizer's per-param applied-update norms (index-aligned
-        // with `named`).
-        const std::vector<double>& upd = optimizer.last_update_sq_norms();
-        std::vector<double> mod_upd_sq(module_names.size(), 0.0);
-        std::vector<double> mod_w_sq(module_names.size(), 0.0);
-        double total_upd_sq = 0.0, total_w_sq = 0.0;
-        for (size_t pi = 0; pi < named.size(); ++pi) {
-          const double wn =
-              static_cast<double>(named[pi].second.value().Norm());
-          const double u_sq = pi < upd.size() ? upd[pi] : 0.0;
-          total_w_sq += wn * wn;
-          total_upd_sq += u_sq;
-          mod_w_sq[param_module[pi]] += wn * wn;
-          mod_upd_sq[param_module[pi]] += u_sq;
-        }
-        ev.update_ratio = total_w_sq > 0.0
-                              ? std::sqrt(total_upd_sq) / std::sqrt(total_w_sq)
-                              : 0.0;
-        for (size_t m = 0; m < module_names.size(); ++m) {
-          ev.module_update_ratios.emplace_back(
-              module_names[m],
-              mod_w_sq[m] > 0.0
-                  ? std::sqrt(mod_upd_sq[m]) / std::sqrt(mod_w_sq[m])
-                  : 0.0);
-        }
-        std::sort(ev.module_update_ratios.begin(),
-                  ev.module_update_ratios.end());
+        train_obs::UpdateObservation upd = train_obs::ObserveUpdates(
+            weights, optimizer.last_update_sq_norms());
+        ev.update_ratio = upd.global_ratio;
+        ev.module_update_ratios = std::move(upd.module_ratios);
         ev.module_grad_norms = std::move(grad_obs.module_norms);
         train_obs::LogStep(ev);
-        SetTrainProgress(epoch, state.global_step);
       }
       // Liveness stamp for /healthz. Gated on the server actually running so
       // the disabled-server hot path stays byte-for-byte what it was (the
@@ -795,16 +758,13 @@ Status Trainer::Run(TrainResult* out) {
           &checkpoint_bytes));
       const double checkpoint_ms = checkpoint_timer.ElapsedMillis();
       checkpoint_latency.Observe(checkpoint_ms);
-      SetLastCheckpoint(config_.checkpoint_path, epoch);
-      if (train_obs::TelemetryActive()) {
-        train_obs::CheckpointEvent ev;
-        ev.epoch = epoch;
-        ev.step = state.global_step;
-        ev.path = config_.checkpoint_path;
-        ev.bytes = checkpoint_bytes;
-        ev.write_ms = checkpoint_ms;
-        train_obs::LogCheckpoint(ev);
-      }
+      train_obs::CheckpointEvent ev;
+      ev.epoch = epoch;
+      ev.step = state.global_step;
+      ev.path = config_.checkpoint_path;
+      ev.bytes = checkpoint_bytes;
+      ev.write_ms = checkpoint_ms;
+      train_obs::LogCheckpoint(ev);
     }
     if (config_.interrupt_after_epochs > 0 &&
         epochs_this_run >= config_.interrupt_after_epochs) {

@@ -5,7 +5,6 @@
 #include <exception>
 #include <utility>
 
-#include "tensor/arena.h"
 #include "tensor/int8.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -231,11 +230,9 @@ void DynamicBatcher::Loop() {
               span->form_ns.load(std::memory_order_relaxed));
         }
       }
-      rtrace::SetThreadBatchSpan(span.get());
     }
     const auto finish_compute = [&] {
       if (span == nullptr) return;
-      rtrace::SetThreadBatchSpan(nullptr);
       const int64_t compute_ns =
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - score_begin)
@@ -252,19 +249,6 @@ void DynamicBatcher::Loop() {
       finish_compute();
       EMBA_CHECK_MSG(scores.size() == batch.size(),
                      "score fn returned wrong batch size");
-      // Arena usage of the scoring path just executed, surfaced in the
-      // serve.* SLO family (process-wide aggregates, cheap atomics reads).
-      static metrics::Gauge& arena_high_water =
-          metrics::GetGauge("serve.arena_bytes_high_water");
-      static metrics::Gauge& arena_resets =
-          metrics::GetGauge("serve.arena_resets");
-      static metrics::Gauge& arena_fallbacks =
-          metrics::GetGauge("serve.arena_heap_fallbacks");
-      const ActivationArena::Stats arena_stats =
-          ActivationArena::GlobalStats();
-      arena_high_water.Set(static_cast<double>(arena_stats.high_water_bytes));
-      arena_resets.Set(static_cast<double>(arena_stats.resets));
-      arena_fallbacks.Set(static_cast<double>(arena_stats.heap_fallbacks));
       for (size_t i = 0; i < batch.size(); ++i) {
         batch[i].promise.set_value(scores[i]);
       }

@@ -8,9 +8,9 @@
 #include <cstring>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <sstream>
 
-#include "train_obs/run_status.h"
 #include "util/atomic_file.h"
 #include "util/json.h"
 #include "util/logging.h"
@@ -42,11 +42,21 @@ void SetFlag(uint32_t flag, bool on) {
   }
 }
 
-std::string UnixNowJson() {
-  return json::NumberToString(
-      std::chrono::duration<double>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
+double UnixNow() {
+  return std::chrono::duration<double>(
+             std::chrono::system_clock::now().time_since_epoch())
+      .count();
+}
+
+std::string UnixNowJson() { return json::NumberToString(UnixNow()); }
+
+/// A double as a schema-v1 JSON value: json::NumberToString when finite;
+/// otherwise the string "nan", "inf" or "-inf", so a sentinel-tripping
+/// loss or gradient still serializes into a parseable event.
+std::string JsonDouble(double v) {
+  if (std::isfinite(v)) return json::NumberToString(v);
+  if (std::isnan(v)) return "\"nan\"";
+  return v > 0 ? "\"inf\"" : "\"-inf\"";
 }
 
 // ---------------------------------------------------------------------------
@@ -72,9 +82,9 @@ void CloseLogLocked(LogState* log) {
 
 void AppendTaskLosses(std::ostringstream* out, double em, double id1,
                       double id2) {
-  *out << "{\"em\": " << internal::JsonDouble(em)
-       << ", \"id1\": " << internal::JsonDouble(id1)
-       << ", \"id2\": " << internal::JsonDouble(id2) << "}";
+  *out << "{\"em\": " << JsonDouble(em)
+       << ", \"id1\": " << JsonDouble(id1)
+       << ", \"id2\": " << JsonDouble(id2) << "}";
 }
 
 void AppendNamedDoubles(
@@ -84,7 +94,7 @@ void AppendNamedDoubles(
   for (size_t i = 0; i < values.size(); ++i) {
     if (i > 0) *out << ", ";
     *out << '"' << json::Escape(values[i].first)
-         << "\": " << internal::JsonDouble(values[i].second);
+         << "\": " << JsonDouble(values[i].second);
   }
   *out << "}";
 }
@@ -155,8 +165,21 @@ Status TrimEventLogForResume(const std::string& path, int64_t resume_step,
 
 constexpr size_t kRecentSteps = 240;
 
-struct RunStatus {
-  std::mutex mutex;
+/// One optimizer step in the recent-steps ring (per-example mean losses).
+struct StepPoint {
+  double loss_em = 0.0, loss_id1 = 0.0, loss_id2 = 0.0;
+  double step_ms = 0.0;
+};
+
+struct LastCheckpoint {
+  std::string path;
+  int64_t epoch = 0;          ///< epoch index of the save
+  double unix_seconds = 0.0;  ///< wall time of the save
+};
+
+/// Everything /trainz knows about one training run. A value type: StartRun
+/// and the test reset replace it whole.
+struct Run {
   bool started = false;
   bool finished = false;
   RunInfo info;
@@ -166,15 +189,59 @@ struct RunStatus {
   double grad_norm = 0.0;
   double update_ratio = 0.0;
   std::chrono::steady_clock::time_point start_time;
+  double wall_seconds = 0.0;  ///< run length, fixed by EndRun
+  /// Per-epoch per-example mean losses; id series stay empty for
+  /// single-task models.
   std::vector<double> epoch_loss_em, epoch_loss_id1, epoch_loss_id2;
+  /// Validation metrics per epoch.
   std::vector<double> eval_f1, eval_precision, eval_recall;
-  std::deque<internal::StepPoint> recent;
-  std::string last_offender;
+  std::deque<StepPoint> recent;  ///< oldest first
+  std::string last_offender;  ///< "loss:em" / "grad:<param>"; empty = clean
+  std::optional<LastCheckpoint> checkpoint;
+};
+
+struct RunStatus {
+  std::mutex mutex;
+  Run run;
 };
 
 RunStatus& GetRunStatus() {
   static RunStatus* status = new RunStatus();
   return *status;
+}
+
+// Parameter → top-level-module grouping of the current run ("module" = the
+// dotted name up to the first '.'), built once by StartRun. Only the
+// trainer thread touches it — StartRun and the per-step Observe* hooks — so
+// it lives outside the /trainz mutex.
+struct ModuleGrouping {
+  std::vector<std::string> params;   ///< RunInfo::param_names
+  std::vector<std::string> modules;  ///< sorted, unique
+  std::vector<size_t> module_of;     ///< param index → index into modules
+};
+
+ModuleGrouping& GetGrouping() {
+  static ModuleGrouping* grouping = new ModuleGrouping();
+  return *grouping;
+}
+
+ModuleGrouping GroupByModule(const std::vector<std::string>& param_names) {
+  ModuleGrouping grouping;
+  grouping.params = param_names;
+  std::vector<std::string> module_of_param;
+  for (const std::string& name : param_names) {
+    module_of_param.push_back(name.substr(0, name.find('.')));
+  }
+  std::vector<std::string>& modules = grouping.modules;
+  modules = module_of_param;
+  std::sort(modules.begin(), modules.end());
+  modules.erase(std::unique(modules.begin(), modules.end()), modules.end());
+  for (const std::string& module : module_of_param) {
+    grouping.module_of.push_back(
+        std::lower_bound(modules.begin(), modules.end(), module) -
+        modules.begin());
+  }
+  return grouping;
 }
 
 // Sentinel counters, resolved once. Process totals: they accumulate across
@@ -275,26 +342,17 @@ void InitTrainObsFromEnv() {
 // Run lifecycle
 
 Status StartRun(const RunInfo& info) {
+  GetGrouping() = GroupByModule(info.param_names);
   {
+    Run run;
+    run.started = true;
+    run.info = info;
+    run.epoch = info.resume_epoch;
+    run.step = info.resume_step;
+    run.start_time = std::chrono::steady_clock::now();
     RunStatus& status = GetRunStatus();
     std::lock_guard<std::mutex> lock(status.mutex);
-    status.started = true;
-    status.finished = false;
-    status.info = info;
-    status.epoch = info.resume_epoch;
-    status.step = info.resume_step;
-    status.lr = 0.0;
-    status.grad_norm = 0.0;
-    status.update_ratio = 0.0;
-    status.start_time = std::chrono::steady_clock::now();
-    status.epoch_loss_em.clear();
-    status.epoch_loss_id1.clear();
-    status.epoch_loss_id2.clear();
-    status.eval_f1.clear();
-    status.eval_precision.clear();
-    status.eval_recall.clear();
-    status.recent.clear();
-    status.last_offender.clear();
+    status.run = std::move(run);
   }
 
   LogState& log = GetLogState();
@@ -332,17 +390,19 @@ void EndRun(double best_valid_f1, double test_f1, int64_t epochs_ran) {
   {
     RunStatus& status = GetRunStatus();
     std::lock_guard<std::mutex> lock(status.mutex);
-    if (!status.started) return;
-    status.finished = true;
-    run_seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - status.start_time)
-                      .count();
+    Run& run = status.run;
+    if (!run.started) return;
+    run.finished = true;
+    run.wall_seconds = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - run.start_time)
+                           .count();
+    run_seconds = run.wall_seconds;
   }
   std::ostringstream out = EventHead("run_end");
   out << ", \"epochs_ran\": " << epochs_ran
-      << ", \"best_valid_f1\": " << internal::JsonDouble(best_valid_f1)
-      << ", \"test_f1\": " << internal::JsonDouble(test_f1)
-      << ", \"wall_seconds\": " << internal::JsonDouble(run_seconds)
+      << ", \"best_valid_f1\": " << JsonDouble(best_valid_f1)
+      << ", \"test_f1\": " << JsonDouble(test_f1)
+      << ", \"wall_seconds\": " << JsonDouble(run_seconds)
       << ", \"nonfinite_losses\": " << NonfiniteLossCounter().Value()
       << ", \"nonfinite_grads\": " << NonfiniteGradCounter().Value()
       << ", \"ts_unix\": " << UnixNowJson() << "}\n";
@@ -359,13 +419,13 @@ void LogStep(const StepEvent& event) {
   {
     RunStatus& status = GetRunStatus();
     std::lock_guard<std::mutex> lock(status.mutex);
-    status.step = event.step + 1;  // steps completed
-    status.epoch = event.epoch;
-    status.lr = event.lr;
-    status.grad_norm = event.grad_norm;
-    status.update_ratio = event.update_ratio;
-    internal::StepPoint point;
-    point.step = event.step;
+    Run& run = status.run;
+    run.step = event.step + 1;  // steps completed
+    run.epoch = event.epoch;
+    run.lr = event.lr;
+    run.grad_norm = event.grad_norm;
+    run.update_ratio = event.update_ratio;
+    StepPoint point;
     point.loss_em =
         event.n_em > 0 ? event.loss_em / static_cast<double>(event.n_em)
                        : 0.0;
@@ -376,8 +436,8 @@ void LogStep(const StepEvent& event) {
         event.n_id2 > 0 ? event.loss_id2 / static_cast<double>(event.n_id2)
                         : 0.0;
     point.step_ms = event.step_ms;
-    status.recent.push_back(point);
-    if (status.recent.size() > kRecentSteps) status.recent.pop_front();
+    run.recent.push_back(point);
+    if (run.recent.size() > kRecentSteps) run.recent.pop_front();
   }
   static metrics::Gauge& update_ratio_gauge =
       metrics::GetGauge("training.update_ratio.global");
@@ -393,10 +453,10 @@ void LogStep(const StepEvent& event) {
   AppendTaskLosses(&out, event.loss_em, event.loss_id1, event.loss_id2);
   out << ", \"examples\": {\"em\": " << event.n_em
       << ", \"id1\": " << event.n_id1 << ", \"id2\": " << event.n_id2
-      << "}, \"lr\": " << internal::JsonDouble(event.lr)
-      << ", \"grad_norm\": " << internal::JsonDouble(event.grad_norm)
-      << ", \"update_ratio\": " << internal::JsonDouble(event.update_ratio)
-      << ", \"step_ms\": " << internal::JsonDouble(event.step_ms);
+      << "}, \"lr\": " << JsonDouble(event.lr)
+      << ", \"grad_norm\": " << JsonDouble(event.grad_norm)
+      << ", \"update_ratio\": " << JsonDouble(event.update_ratio)
+      << ", \"step_ms\": " << JsonDouble(event.step_ms);
   AppendNamedDoubles(&out, "grad_norms", event.module_grad_norms);
   AppendNamedDoubles(&out, "update_ratios", event.module_update_ratios);
   out << ", \"ts_unix\": " << UnixNowJson() << "}\n";
@@ -407,18 +467,19 @@ void LogEpoch(const EpochEvent& event) {
   {
     RunStatus& status = GetRunStatus();
     std::lock_guard<std::mutex> lock(status.mutex);
-    status.epoch = event.epoch;
+    Run& run = status.run;
+    run.epoch = event.epoch;
     if (event.n_em > 0) {
-      status.epoch_loss_em.push_back(event.loss_em /
-                                     static_cast<double>(event.n_em));
+      run.epoch_loss_em.push_back(event.loss_em /
+                                  static_cast<double>(event.n_em));
     }
     if (event.n_id1 > 0) {
-      status.epoch_loss_id1.push_back(event.loss_id1 /
-                                      static_cast<double>(event.n_id1));
+      run.epoch_loss_id1.push_back(event.loss_id1 /
+                                   static_cast<double>(event.n_id1));
     }
     if (event.n_id2 > 0) {
-      status.epoch_loss_id2.push_back(event.loss_id2 /
-                                      static_cast<double>(event.n_id2));
+      run.epoch_loss_id2.push_back(event.loss_id2 /
+                                   static_cast<double>(event.n_id2));
     }
   }
   if (!EventLogConfigured()) return;
@@ -428,7 +489,7 @@ void LogEpoch(const EpochEvent& event) {
   AppendTaskLosses(&out, event.loss_em, event.loss_id1, event.loss_id2);
   out << ", \"examples\": {\"em\": " << event.n_em
       << ", \"id1\": " << event.n_id1 << ", \"id2\": " << event.n_id2
-      << "}, \"epoch_seconds\": " << internal::JsonDouble(event.epoch_seconds)
+      << "}, \"epoch_seconds\": " << JsonDouble(event.epoch_seconds)
       << ", \"heap_allocs\": " << event.heap_allocs
       << ", \"parallel_for_calls\": " << event.parallel_for_calls
       << ", \"ts_unix\": " << UnixNowJson() << "}\n";
@@ -439,31 +500,37 @@ void LogEval(const EvalEvent& event) {
   if (event.split == "valid") {
     RunStatus& status = GetRunStatus();
     std::lock_guard<std::mutex> lock(status.mutex);
-    status.eval_f1.push_back(event.f1);
-    status.eval_precision.push_back(event.precision);
-    status.eval_recall.push_back(event.recall);
+    status.run.eval_f1.push_back(event.f1);
+    status.run.eval_precision.push_back(event.precision);
+    status.run.eval_recall.push_back(event.recall);
   }
   if (!EventLogConfigured()) return;
   std::ostringstream out = EventHead("eval");
   out << ", \"epoch\": " << event.epoch << ", \"step\": " << event.step
       << ", \"split\": \"" << json::Escape(event.split)
-      << "\", \"f1\": " << internal::JsonDouble(event.f1)
-      << ", \"precision\": " << internal::JsonDouble(event.precision)
-      << ", \"recall\": " << internal::JsonDouble(event.recall)
-      << ", \"id1_accuracy\": " << internal::JsonDouble(event.id1_accuracy)
-      << ", \"id2_accuracy\": " << internal::JsonDouble(event.id2_accuracy)
+      << "\", \"f1\": " << JsonDouble(event.f1)
+      << ", \"precision\": " << JsonDouble(event.precision)
+      << ", \"recall\": " << JsonDouble(event.recall)
+      << ", \"id1_accuracy\": " << JsonDouble(event.id1_accuracy)
+      << ", \"id2_accuracy\": " << JsonDouble(event.id2_accuracy)
       << ", \"improved\": " << (event.improved ? "true" : "false")
       << ", \"ts_unix\": " << UnixNowJson() << "}\n";
   WriteEventLine(out.str());
 }
 
 void LogCheckpoint(const CheckpointEvent& event) {
+  {
+    LastCheckpoint checkpoint{event.path, event.epoch, UnixNow()};
+    RunStatus& status = GetRunStatus();
+    std::lock_guard<std::mutex> lock(status.mutex);
+    status.run.checkpoint = std::move(checkpoint);
+  }
   if (!EventLogConfigured()) return;
   std::ostringstream out = EventHead("checkpoint");
   out << ", \"epoch\": " << event.epoch << ", \"step\": " << event.step
       << ", \"path\": \"" << json::Escape(event.path)
       << "\", \"bytes\": " << event.bytes
-      << ", \"write_ms\": " << internal::JsonDouble(event.write_ms)
+      << ", \"write_ms\": " << JsonDouble(event.write_ms)
       << ", \"ts_unix\": " << UnixNowJson() << "}\n";
   WriteEventLine(out.str());
 }
@@ -473,51 +540,41 @@ void LogCheckpoint(const CheckpointEvent& event) {
 
 namespace {
 
-std::string TopLevelModule(const std::string& param_name) {
-  const size_t dot = param_name.find('.');
-  return dot == std::string::npos ? param_name : param_name.substr(0, dot);
-}
-
 void RecordOffender(const std::string& offender) {
   RunStatus& status = GetRunStatus();
   std::lock_guard<std::mutex> lock(status.mutex);
-  status.last_offender = offender;
+  status.run.last_offender = offender;
 }
 
 }  // namespace
 
-GradObservation ObserveGradients(
-    const std::vector<std::pair<const std::string*, const Tensor*>>& grads) {
+GradObservation ObserveGradients(const std::vector<const Tensor*>& grads) {
+  const ModuleGrouping& grouping = GetGrouping();
+  EMBA_CHECK_MSG(grads.size() == grouping.params.size(),
+                 "gradients not aligned with RunInfo::param_names");
   GradObservation obs;
-  // Per-module Σ‖g‖² in a flat vector — top-level module counts are tiny
-  // (encoder + a few heads), so linear search beats a map.
-  std::vector<std::pair<std::string, double>> modules;
+  std::vector<double> module_sq(grouping.modules.size(), 0.0);
+  std::vector<bool> module_seen(grouping.modules.size(), false);
   double total_sq = 0.0;
-  for (const auto& [name, grad] : grads) {
+  for (size_t i = 0; i < grads.size(); ++i) {
+    const Tensor* grad = grads[i];
     if (grad == nullptr || grad->size() == 0) continue;
     const double norm = static_cast<double>(grad->Norm());
     if (!std::isfinite(norm) && !obs.nonfinite) {
       obs.nonfinite = true;
-      obs.offender = *name;
+      obs.offender = grouping.params[i];
     }
     const double sq = norm * norm;
     total_sq += sq;
-    const std::string module = TopLevelModule(*name);
-    bool found = false;
-    for (auto& entry : modules) {
-      if (entry.first == module) {
-        entry.second += sq;
-        found = true;
-        break;
-      }
-    }
-    if (!found) modules.emplace_back(module, sq);
+    module_sq[grouping.module_of[i]] += sq;
+    module_seen[grouping.module_of[i]] = true;
   }
   obs.global_norm = std::sqrt(total_sq);
-  std::sort(modules.begin(), modules.end());
-  obs.module_norms.reserve(modules.size());
-  for (const auto& [module, sq] : modules) {
-    obs.module_norms.emplace_back(module, std::sqrt(sq));
+  for (size_t m = 0; m < grouping.modules.size(); ++m) {
+    if (module_seen[m]) {
+      obs.module_norms.emplace_back(grouping.modules[m],
+                                    std::sqrt(module_sq[m]));
+    }
   }
 
   static metrics::Gauge& global_gauge =
@@ -529,6 +586,34 @@ GradObservation ObserveGradients(
   if (obs.nonfinite) {
     NonfiniteGradCounter().Increment();
     RecordOffender("grad:" + obs.offender);
+  }
+  return obs;
+}
+
+UpdateObservation ObserveUpdates(const std::vector<const Tensor*>& weights,
+                                 const std::vector<double>& update_sq_norms) {
+  const ModuleGrouping& grouping = GetGrouping();
+  EMBA_CHECK_MSG(weights.size() == grouping.params.size(),
+                 "weights not aligned with RunInfo::param_names");
+  std::vector<double> module_upd_sq(grouping.modules.size(), 0.0);
+  std::vector<double> module_w_sq(grouping.modules.size(), 0.0);
+  double total_upd_sq = 0.0, total_w_sq = 0.0;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    const double wn = static_cast<double>(weights[i]->Norm());
+    const double u_sq = i < update_sq_norms.size() ? update_sq_norms[i] : 0.0;
+    total_w_sq += wn * wn;
+    total_upd_sq += u_sq;
+    module_w_sq[grouping.module_of[i]] += wn * wn;
+    module_upd_sq[grouping.module_of[i]] += u_sq;
+  }
+  const auto ratio = [](double upd_sq, double w_sq) {
+    return w_sq > 0.0 ? std::sqrt(upd_sq) / std::sqrt(w_sq) : 0.0;
+  };
+  UpdateObservation obs;
+  obs.global_ratio = ratio(total_upd_sq, total_w_sq);
+  for (size_t m = 0; m < grouping.modules.size(); ++m) {
+    obs.module_ratios.emplace_back(grouping.modules[m],
+                                   ratio(module_upd_sq[m], module_w_sq[m]));
   }
   return obs;
 }
@@ -636,53 +721,107 @@ void ObserveAttentionRows(int family, const Tensor& rows) {
 }
 
 // ---------------------------------------------------------------------------
-// /trainz wiring + snapshot
+// /trainz
 
-namespace internal {
+namespace {
 
-std::string JsonDouble(double v) {
-  if (std::isfinite(v)) return json::NumberToString(v);
-  if (std::isnan(v)) return "\"nan\"";
-  return v > 0 ? "\"inf\"" : "\"-inf\"";
+void AppendJsonDoubles(std::ostringstream* out,
+                       const std::vector<double>& values) {
+  *out << '[';
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) *out << ", ";
+    *out << JsonDouble(values[i]);
+  }
+  *out << ']';
 }
 
-RunStatusSnapshot SnapshotRunStatus() {
-  RunStatusSnapshot snap;
+void AppendRecentSeries(std::ostringstream* out, const char* key,
+                        const std::deque<StepPoint>& recent,
+                        double StepPoint::*field) {
+  *out << ", \"" << key << "\": [";
+  for (size_t i = 0; i < recent.size(); ++i) {
+    if (i > 0) *out << ", ";
+    *out << JsonDouble(recent[i].*field);
+  }
+  *out << ']';
+}
+
+}  // namespace
+
+http::HttpResponse HandleTrainzRequest(const http::HttpRequest&) {
+  const std::string event_log_path = EventLogPath();
+  std::ostringstream out;
   {
     RunStatus& status = GetRunStatus();
     std::lock_guard<std::mutex> lock(status.mutex);
-    snap.started = status.started;
-    snap.finished = status.finished;
-    snap.info = status.info;
-    snap.epoch = status.epoch;
-    snap.step = status.step;
-    snap.lr = status.lr;
-    snap.grad_norm = status.grad_norm;
-    snap.update_ratio = status.update_ratio;
-    if (status.started && !status.finished) {
-      snap.run_seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() -
-                             status.start_time)
+    const Run& run = status.run;
+    out << "{\n  \"started\": " << (run.started ? "true" : "false")
+        << ",\n  \"finished\": " << (run.finished ? "true" : "false");
+    if (run.started) {
+      const double run_seconds =
+          run.finished ? run.wall_seconds
+                       : std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - run.start_time)
                              .count();
+      out << ",\n  \"run\": {\"dataset\": \"" << json::Escape(run.info.dataset)
+          << "\", \"model\": \"" << json::Escape(run.info.model)
+          << "\", \"max_epochs\": " << run.info.max_epochs
+          << ", \"train_size\": " << run.info.train_size
+          << ", \"aux_heads\": " << (run.info.has_aux_heads ? "true" : "false")
+          << ", \"resumed\": " << (run.info.resumed ? "true" : "false")
+          << "}";
+      out << ",\n  \"epoch\": " << run.epoch << ",\n  \"step\": " << run.step
+          << ",\n  \"lr\": " << JsonDouble(run.lr)
+          << ",\n  \"grad_norm\": " << JsonDouble(run.grad_norm)
+          << ",\n  \"update_ratio\": " << JsonDouble(run.update_ratio)
+          << ",\n  \"run_seconds\": " << JsonDouble(run_seconds)
+          << ",\n  \"epoch_loss\": {\"em\": ";
+      AppendJsonDoubles(&out, run.epoch_loss_em);
+      out << ", \"id1\": ";
+      AppendJsonDoubles(&out, run.epoch_loss_id1);
+      out << ", \"id2\": ";
+      AppendJsonDoubles(&out, run.epoch_loss_id2);
+      out << "},\n  \"eval\": {\"f1\": ";
+      AppendJsonDoubles(&out, run.eval_f1);
+      out << ", \"precision\": ";
+      AppendJsonDoubles(&out, run.eval_precision);
+      out << ", \"recall\": ";
+      AppendJsonDoubles(&out, run.eval_recall);
+      out << "},\n  \"recent_steps\": {\"count\": " << run.recent.size();
+      AppendRecentSeries(&out, "loss_em", run.recent, &StepPoint::loss_em);
+      AppendRecentSeries(&out, "loss_id1", run.recent, &StepPoint::loss_id1);
+      AppendRecentSeries(&out, "loss_id2", run.recent, &StepPoint::loss_id2);
+      AppendRecentSeries(&out, "step_ms", run.recent, &StepPoint::step_ms);
+      out << "}";
     }
-    snap.epoch_loss_em = status.epoch_loss_em;
-    snap.epoch_loss_id1 = status.epoch_loss_id1;
-    snap.epoch_loss_id2 = status.epoch_loss_id2;
-    snap.eval_f1 = status.eval_f1;
-    snap.eval_precision = status.eval_precision;
-    snap.eval_recall = status.eval_recall;
-    snap.recent_steps.assign(status.recent.begin(), status.recent.end());
-    snap.last_offender = status.last_offender;
+    out << ",\n  \"sentinels\": {\"nonfinite_losses\": "
+        << NonfiniteLossCounter().Value()
+        << ", \"nonfinite_grads\": " << NonfiniteGradCounter().Value()
+        << ", \"last_offender\": \"" << json::Escape(run.last_offender)
+        << "\", \"nan_abort\": " << (NanAbort() ? "true" : "false") << "}";
+    out << ",\n  \"attn_stats\": " << (AttnStatsEnabled() ? "true" : "false");
+    out << ",\n  \"event_log\": ";
+    if (event_log_path.empty()) {
+      out << "null";
+    } else {
+      out << '"' << json::Escape(event_log_path) << '"';
+    }
+    out << ",\n  \"last_checkpoint\": ";
+    if (run.checkpoint.has_value()) {
+      out << "{\"path\": \"" << json::Escape(run.checkpoint->path)
+          << "\", \"epoch\": " << run.checkpoint->epoch
+          << ", \"unix_seconds\": "
+          << JsonDouble(run.checkpoint->unix_seconds) << "}";
+    } else {
+      out << "null";
+    }
   }
-  snap.nonfinite_losses = NonfiniteLossCounter().Value();
-  snap.nonfinite_grads = NonfiniteGradCounter().Value();
-  snap.nan_abort = NanAbort();
-  snap.attn_stats = AttnStatsEnabled();
-  snap.event_log_path = EventLogPath();
-  return snap;
+  out << "\n}\n";
+  http::HttpResponse resp;
+  resp.content_type = "application/json";
+  resp.body = out.str();
+  return resp;
 }
-
-}  // namespace internal
 
 namespace {
 
@@ -707,24 +846,10 @@ void ResetTrainObsForTest() {
     std::lock_guard<std::mutex> lock(log.mutex);
     CloseLogLocked(&log);
   }
+  GetGrouping() = ModuleGrouping();
   RunStatus& status = GetRunStatus();
   std::lock_guard<std::mutex> lock(status.mutex);
-  status.started = false;
-  status.finished = false;
-  status.info = RunInfo();
-  status.epoch = 0;
-  status.step = 0;
-  status.lr = 0.0;
-  status.grad_norm = 0.0;
-  status.update_ratio = 0.0;
-  status.epoch_loss_em.clear();
-  status.epoch_loss_id1.clear();
-  status.epoch_loss_id2.clear();
-  status.eval_f1.clear();
-  status.eval_precision.clear();
-  status.eval_recall.clear();
-  status.recent.clear();
-  status.last_offender.clear();
+  status.run = Run();
 }
 
 }  // namespace train_obs

@@ -14,8 +14,9 @@
 //      nan-abort armed, the first non-finite value fail-fasts the process
 //      with the offending module named.
 //   3. The in-memory run status behind /trainz: per-task per-epoch loss
-//      series, eval F1/P/R series, a ring of recent steps, and sentinel
-//      state, served as JSON.
+//      series, eval F1/P/R series, a ring of recent steps, sentinel state
+//      and the last checkpoint, served as JSON. It is the one store of a
+//      run's progress; util/observability keeps only process liveness.
 //
 // Zero-overhead-when-off is the same hard contract as the serving-side
 // stack: the trainer asks TelemetryActive() once per step (relaxed atomic
@@ -103,11 +104,15 @@ struct RunInfo {
   bool resumed = false;
   int64_t resume_step = 0;
   int64_t resume_epoch = 0;
+  /// Dotted parameter names, in the order of the per-parameter tensors the
+  /// trainer later hands to ObserveGradients / ObserveUpdates. StartRun
+  /// groups them once into top-level modules (name up to the first '.').
+  std::vector<std::string> param_names;
 };
 
-/// Resets the in-memory run status, opens/trims the event log (when
-/// configured) and writes the run_start event. IOError when the log path
-/// is not writable.
+/// Resets the in-memory run status, groups the parameters by module,
+/// opens/trims the event log (when configured) and writes the run_start
+/// event. IOError when the log path is not writable.
 Status StartRun(const RunInfo& info);
 
 /// Writes the run_end event (sentinel totals ride along) and closes the
@@ -162,6 +167,8 @@ struct EvalEvent {
 };
 void LogEval(const EvalEvent& event);
 
+/// One published checkpoint: written to the event log when configured, and
+/// always recorded as the run's /trainz last_checkpoint.
 struct CheckpointEvent {
   int64_t epoch = 0;
   int64_t step = 0;
@@ -182,13 +189,26 @@ struct GradObservation {
   std::vector<std::pair<std::string, double>> module_norms;
 };
 
-/// Scans per-parameter gradients: per-module and global norms into the
-/// training.grad_norm.* gauges, non-finite detection into
-/// training.numerics.nonfinite_grads. Null tensors are skipped (parameters
-/// that received no gradient this step). One pass over every gradient —
-/// call only under TelemetryActive().
-GradObservation ObserveGradients(
-    const std::vector<std::pair<const std::string*, const Tensor*>>& grads);
+/// Scans per-parameter gradients, index-aligned with RunInfo::param_names:
+/// per-module and global norms into the training.grad_norm.* gauges,
+/// non-finite detection into training.numerics.nonfinite_grads. Null
+/// tensors are skipped (parameters that received no gradient this step);
+/// a module none of whose parameters has a gradient is left out. One pass
+/// over every gradient — call only under TelemetryActive().
+GradObservation ObserveGradients(const std::vector<const Tensor*>& grads);
+
+struct UpdateObservation {
+  double global_ratio = 0.0;  ///< ‖applied update‖ / ‖weights‖, all params
+  /// Per-top-level-module ratios, sorted by module name.
+  std::vector<std::pair<std::string, double>> module_ratios;
+};
+
+/// Update-to-weight ratios √Σ‖δ‖² / √Σ‖w‖² of the step just applied.
+/// `weights` and the optimizer's per-parameter Σδ² are index-aligned with
+/// RunInfo::param_names; a missing Σδ² counts as 0. Call only under
+/// TelemetryActive().
+UpdateObservation ObserveUpdates(const std::vector<const Tensor*>& weights,
+                                 const std::vector<double>& update_sq_norms);
 
 /// Checks the per-task batch loss sums; on a non-finite value increments
 /// training.numerics.nonfinite_losses, records the offending task in the

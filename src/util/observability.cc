@@ -75,71 +75,6 @@ double HealthHeartbeatAgeSeconds() {
 }
 
 // ---------------------------------------------------------------------------
-// Training progress + last checkpoint
-
-namespace {
-
-// epoch < 0 means "never stamped"; epoch and step are stored separately
-// with relaxed ordering — /healthz tolerates reading an epoch/step pair
-// straddling a step boundary.
-std::atomic<int64_t> g_train_epoch{-1};
-std::atomic<int64_t> g_train_step{0};
-
-struct CheckpointState {
-  std::mutex mutex;
-  LastCheckpointInfo info;
-};
-
-CheckpointState& GetCheckpointState() {
-  static CheckpointState* state = new CheckpointState();
-  return *state;
-}
-
-}  // namespace
-
-void SetTrainProgress(int64_t epoch, int64_t step) {
-  g_train_step.store(step, std::memory_order_relaxed);
-  g_train_epoch.store(epoch, std::memory_order_relaxed);
-}
-
-TrainProgress GetTrainProgress() {
-  TrainProgress progress;
-  const int64_t epoch = g_train_epoch.load(std::memory_order_relaxed);
-  if (epoch < 0) return progress;
-  progress.valid = true;
-  progress.epoch = epoch;
-  progress.step = g_train_step.load(std::memory_order_relaxed);
-  return progress;
-}
-
-void SetLastCheckpoint(const std::string& path, int64_t epoch) {
-  const double now_unix =
-      std::chrono::duration<double>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count();
-  CheckpointState& state = GetCheckpointState();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  state.info.valid = true;
-  state.info.path = path;
-  state.info.epoch = epoch;
-  state.info.unix_seconds = now_unix;
-}
-
-LastCheckpointInfo GetLastCheckpoint() {
-  CheckpointState& state = GetCheckpointState();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  return state.info;
-}
-
-void ResetTrainStateForTest() {
-  g_train_epoch.store(-1, std::memory_order_relaxed);
-  g_train_step.store(0, std::memory_order_relaxed);
-  CheckpointState& state = GetCheckpointState();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  state.info = LastCheckpointInfo();
-}
-
-// ---------------------------------------------------------------------------
 // Endpoint handlers
 
 namespace {
@@ -188,25 +123,7 @@ http::HttpResponse HandleHealthz(const http::HttpRequest&) {
       << (beat_age < 0 ? "null" : json::NumberToString(beat_age))
       << ", \"uptime_seconds\": " << json::NumberToString(stats.uptime_seconds)
       << ", \"rss_bytes\": " << stats.rss_bytes
-      << ", \"threads\": " << stats.threads;
-  // Training progress + last checkpoint (null until a trainer publishes
-  // them) — what drain/resume tooling needs without parsing log lines.
-  const TrainProgress progress = GetTrainProgress();
-  if (progress.valid) {
-    out << ", \"epoch\": " << progress.epoch
-        << ", \"step\": " << progress.step;
-  } else {
-    out << ", \"epoch\": null, \"step\": null";
-  }
-  const LastCheckpointInfo ckpt = GetLastCheckpoint();
-  if (ckpt.valid) {
-    out << ", \"last_checkpoint\": {\"path\": \"" << json::Escape(ckpt.path)
-        << "\", \"epoch\": " << ckpt.epoch << ", \"unix_seconds\": "
-        << json::NumberToString(ckpt.unix_seconds) << "}";
-  } else {
-    out << ", \"last_checkpoint\": null";
-  }
-  out << "}\n";
+      << ", \"threads\": " << stats.threads << "}\n";
   http::HttpResponse resp = JsonResponse(out.str());
   // Draining is the one state a load balancer should treat as "stop sending
   // work here"; everything else (including starting) answers 200.
@@ -281,7 +198,6 @@ void AppendRecordJson(std::ostringstream* out,
          << ", \"size\": " << rec.batch_size << ", \"fire_reason\": \""
          << json::Escape(rec.fire_reason)
          << "\", \"compute_ms\": " << json::NumberToString(rec.batch_compute_ms)
-         << ", \"forward_ms\": " << json::NumberToString(rec.batch_forward_ms)
          << ", \"int8\": " << (rec.int8_active ? "true" : "false")
          << ", \"sibling_trace_ids\": [";
     for (size_t i = 0; i < rec.sibling_trace_ids.size(); ++i) {

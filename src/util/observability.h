@@ -68,36 +68,6 @@ void HealthHeartbeat();
 double HealthHeartbeatAgeSeconds();
 
 // ---------------------------------------------------------------------------
-// Training progress (published by core::Trainer, served on /healthz and
-// /trainz so drain/resume tooling never has to parse log lines)
-
-struct TrainProgress {
-  bool valid = false;  ///< false until the first SetTrainProgress
-  int64_t epoch = 0;
-  int64_t step = 0;
-};
-
-/// Stamps the current epoch/step. Two relaxed atomic stores — cheap enough
-/// for once-per-step, but the trainer still gates it on telemetry being on.
-void SetTrainProgress(int64_t epoch, int64_t step);
-TrainProgress GetTrainProgress();
-
-struct LastCheckpointInfo {
-  bool valid = false;  ///< false until the first SetLastCheckpoint
-  std::string path;
-  int64_t epoch = 0;          ///< epochs completed at the save
-  double unix_seconds = 0.0;  ///< wall time of the save
-};
-
-/// Records the most recent successful checkpoint publish (mutex-protected;
-/// called at epoch boundaries, never on the step path).
-void SetLastCheckpoint(const std::string& path, int64_t epoch);
-LastCheckpointInfo GetLastCheckpoint();
-
-/// Clears train progress and last-checkpoint info (test isolation).
-void ResetTrainStateForTest();
-
-// ---------------------------------------------------------------------------
 // Observability server
 
 /// Starts the HTTP server on `port` (0 = ephemeral; query the bound port

@@ -82,8 +82,6 @@ AccessLog& Log() {
 
 std::atomic<uint64_t> g_next_batch_id{1};
 
-thread_local BatchSpan* t_batch_span = nullptr;
-
 // One access-log line (no trailing newline). Keys are stable — the log is
 // a machine-read artifact (CI uploads it; jq-friendly).
 std::string FormatAccessLogLine(const RequestRecord& rec) {
@@ -155,8 +153,6 @@ RequestRecord BuildRecord(const RequestContext& ctx, bool in_flight,
     rec.fire_reason = batch->fire_reason;
     rec.batch_compute_ms =
         NsToMs(batch->compute_ns.load(std::memory_order_relaxed));
-    rec.batch_forward_ms =
-        NsToMs(batch->forward_ns.load(std::memory_order_relaxed));
     rec.int8_active = batch->int8_active;
     for (uint64_t member : batch->member_trace_ids) {
       if (member != ctx.trace_id()) {
@@ -247,9 +243,6 @@ std::shared_ptr<BatchSpan> BeginBatch(const char* fire_reason, int size) {
   span->size = size;
   return span;
 }
-
-void SetThreadBatchSpan(BatchSpan* span) { t_batch_span = span; }
-BatchSpan* ThreadBatchSpan() { return t_batch_span; }
 
 // ---------------------------------------------------------------------------
 // RequestContext

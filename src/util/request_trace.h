@@ -15,9 +15,9 @@
 //   (other)     e2e minus the sum above — future hand-off, socket write
 //
 // Batching attribution: requests scored together share one BatchSpan
-// (batch id, size, fire reason, compute + core-forward time, member trace
-// ids), linked from every member's context — so a slow request's record
-// answers both "which batch served me" and "who rode with me".
+// (batch id, size, fire reason, compute time, member trace ids), linked
+// from every member's context — so a slow request's record answers both
+// "which batch served me" and "who rode with me".
 //
 // Tail-based sampling keeps always-on tracing cheap: full breakdown records
 // are retained only for requests that error (5xx / aborted) or land in a
@@ -89,17 +89,10 @@ struct BatchSpan {
   /// they are atomics; /rpcz may read an in-flight batch.
   std::atomic<int64_t> form_ns{0};     ///< dequeue → score call issued
   std::atomic<int64_t> compute_ns{0};  ///< whole score_fn call
-  std::atomic<int64_t> forward_ns{0};  ///< core::BatchMatchProbabilities part
 };
 
 /// Allocates a BatchSpan with the next batch id.
 std::shared_ptr<BatchSpan> BeginBatch(const char* fire_reason, int size);
-
-/// Thread-local "batch currently being scored on this thread" — set by the
-/// batcher around its score call so core/scoring can attribute its forward
-/// time without a parameter thread through ScoreFn. Null outside a batch.
-void SetThreadBatchSpan(BatchSpan* span);
-BatchSpan* ThreadBatchSpan();
 
 // ---------------------------------------------------------------------------
 // RequestContext
@@ -202,7 +195,6 @@ struct RequestRecord {
   int batch_size = 0;
   std::string fire_reason;
   double batch_compute_ms = 0.0;
-  double batch_forward_ms = 0.0;
   bool int8_active = false;
   std::vector<std::string> sibling_trace_ids;  ///< hex, self excluded
 };

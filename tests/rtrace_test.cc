@@ -191,15 +191,6 @@ TEST_F(RtraceTest, BatchSpanLinksSiblings) {
   EXPECT_GT(next->batch_id, span->batch_id);
 }
 
-TEST_F(RtraceTest, ThreadBatchSpanIsThreadLocal) {
-  auto span = rtrace::BeginBatch("full", 4);
-  rtrace::SetThreadBatchSpan(span.get());
-  EXPECT_EQ(rtrace::ThreadBatchSpan(), span.get());
-  std::thread([&] { EXPECT_EQ(rtrace::ThreadBatchSpan(), nullptr); }).join();
-  rtrace::SetThreadBatchSpan(nullptr);
-  EXPECT_EQ(rtrace::ThreadBatchSpan(), nullptr);
-}
-
 TEST_F(RtraceTest, AccessLogWritesJsonLines) {
   const std::string path = "/tmp/emba_rtrace_access_log.jsonl";
   std::remove(path.c_str());

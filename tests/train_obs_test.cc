@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -80,7 +81,6 @@ void ResetObservability() {
   train_obs::SetSentinelsEnabled(false);
   train_obs::SetAttnStatsEnabled(false);
   metrics::Registry::Global().ResetAllForTest();
-  ResetTrainStateForTest();
 }
 
 class TrainObsTest : public ::testing::Test {
@@ -159,14 +159,20 @@ TEST(HistogramNanTest, ExemplarPathRejectsNanToo) {
 
 // ---------- Sentinel unit behavior ----------
 
+/// Opens a run (no event log) whose parameters are `param_names`, so the
+/// per-step Observe* hooks have a module grouping to work with.
+void StartRunWithParams(std::vector<std::string> param_names) {
+  train_obs::RunInfo info;
+  info.param_names = std::move(param_names);
+  ASSERT_TRUE(train_obs::StartRun(info).ok());
+}
+
 TEST_F(TrainObsTest, ObserveGradientsFlagsFirstNonfiniteParam) {
   train_obs::SetSentinelsEnabled(true);
+  StartRunWithParams({"encoder.w", "em_head.w"});
   Tensor good = Tensor::FromVector({0.5f, -0.5f});
   Tensor bad = Tensor::FromVector({1.0f, std::nanf("")});
-  const std::string name_a = "encoder.w";
-  const std::string name_b = "em_head.w";
-  auto obs = train_obs::ObserveGradients(
-      {{&name_a, &good}, {&name_b, &bad}});
+  auto obs = train_obs::ObserveGradients({&good, &bad});
   EXPECT_TRUE(obs.nonfinite);
   EXPECT_EQ(obs.offender, "em_head.w");
   ASSERT_EQ(obs.module_norms.size(), 2u);
@@ -179,11 +185,9 @@ TEST_F(TrainObsTest, ObserveGradientsFlagsFirstNonfiniteParam) {
 
 TEST_F(TrainObsTest, ObserveGradientsSkipsNullAndStaysFinite) {
   train_obs::SetSentinelsEnabled(true);
+  StartRunWithParams({"m.w", "m.frozen"});
   Tensor grad = Tensor::FromVector({3.0f, 4.0f});
-  const std::string with = "m.w";
-  const std::string without = "m.frozen";
-  auto obs =
-      train_obs::ObserveGradients({{&with, &grad}, {&without, nullptr}});
+  auto obs = train_obs::ObserveGradients({&grad, nullptr});
   EXPECT_FALSE(obs.nonfinite);
   EXPECT_NEAR(obs.global_norm, 5.0, 1e-9);
   EXPECT_EQ(metrics::GetCounter("training.numerics.nonfinite_grads").Value(),
@@ -270,7 +274,7 @@ TEST_F(TrainObsTest, EmbaRunEmitsPerTaskSeriesCheckpointsAndTrainz) {
   EXPECT_EQ(evals.size(), 3u);  // 2 valid + 1 test
   EXPECT_EQ(EventsOfType(log_path, "run_end").size(), 1u);
 
-  // Checkpoint telemetry: the counters, the event, the span, /healthz state.
+  // Checkpoint telemetry: the counters, the event, the span, /trainz state.
   EXPECT_EQ(metrics::GetCounter("training.checkpoint.writes").Value(), 2u);
   EXPECT_GT(metrics::GetCounter("training.checkpoint.bytes").Value(), 0u);
   const auto ckpts = EventsOfType(log_path, "checkpoint");
@@ -294,10 +298,6 @@ TEST_F(TrainObsTest, EmbaRunEmitsPerTaskSeriesCheckpointsAndTrainz) {
     }
   }
   EXPECT_TRUE(saw_write_span);
-  const LastCheckpointInfo last = GetLastCheckpoint();
-  EXPECT_TRUE(last.valid);
-  EXPECT_EQ(last.path, ckpt);
-  EXPECT_EQ(last.epoch, 1);
 
   // Heartbeat throttle: the per-step firing rate must have been suppressed.
   EXPECT_GT(metrics::GetCounter("training.heartbeat.suppressed").Value(), 0u);
@@ -322,9 +322,71 @@ TEST_F(TrainObsTest, EmbaRunEmitsPerTaskSeriesCheckpointsAndTrainz) {
   }
   EXPECT_EQ(json.body.find("\"loss_id1\": []"), std::string::npos)
       << "id1 series empty for an aux-head model";
+  Result<json::Value> trainz = json::Parse(json.body);
+  ASSERT_TRUE(trainz.ok()) << trainz.status();
+  // A finished run keeps its final duration rather than reading 0.
+  const json::Value* run_seconds = trainz->Find("run_seconds");
+  ASSERT_TRUE(run_seconds != nullptr && run_seconds->is_number());
+  EXPECT_GT(run_seconds->AsNumber(), 0.0);
+  const json::Value* last = trainz->Find("last_checkpoint");
+  ASSERT_TRUE(last != nullptr && last->Find("path") != nullptr);
+  EXPECT_EQ(last->Find("path")->AsString(), ckpt);
+  EXPECT_EQ(last->Find("epoch")->AsNumber(), 1.0);
 
   std::remove(log_path.c_str());
   std::remove(ckpt.c_str());
+}
+
+// ---------- Per-module grouping of the step telemetry ----------
+
+TEST_F(TrainObsTest, StepEventsGroupEveryTopLevelModule) {
+  const std::string log_path = TempPath("train_obs_modules.jsonl");
+  std::remove(log_path.c_str());
+  train_obs::SetEventLogPath(log_path);
+
+  core::EncodedDataset dataset = TinyDataset();
+  Rng rng(11);
+  auto model = core::CreateModel("emba", TinyBudget(),
+                                 dataset.wordpiece->vocab().size(),
+                                 dataset.num_id_classes, &rng);
+  ASSERT_TRUE(model.ok());
+  std::set<std::string> modules;
+  for (const auto& [name, var] : (*model)->NamedParameters()) {
+    modules.insert(name.substr(0, name.find('.')));
+  }
+  const std::vector<std::string> want(modules.begin(), modules.end());
+  ASSERT_GT(want.size(), 1u);
+
+  core::TrainConfig config = TinyConfig(&rng);
+  core::Trainer trainer(model->get(), &dataset, config);
+  core::TrainResult result;
+  ASSERT_TRUE(trainer.Run(&result).ok());
+
+  const auto keys_of = [](const json::Value& object) {
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : object.AsObject()) keys.push_back(key);
+    return keys;
+  };
+  const auto steps = EventsOfType(log_path, "step");
+  ASSERT_GT(steps.size(), 2u);
+  for (const std::string& line : steps) {
+    Result<json::Value> step = json::Parse(line);
+    ASSERT_TRUE(step.ok()) << step.status();
+    const json::Value* norms = step->Find("grad_norms");
+    const json::Value* ratios = step->Find("update_ratios");
+    ASSERT_TRUE(norms != nullptr && norms->is_object()) << line;
+    ASSERT_TRUE(ratios != nullptr && ratios->is_object()) << line;
+    EXPECT_EQ(keys_of(*norms), want) << line;
+    EXPECT_EQ(keys_of(*ratios), want) << line;
+    // The module norms partition the global norm.
+    double sum_sq = 0.0;
+    for (const auto& [module, norm] : norms->AsObject()) {
+      sum_sq += norm.AsNumber() * norm.AsNumber();
+    }
+    const double global = step->Find("grad_norm")->AsNumber();
+    EXPECT_NEAR(sum_sq, global * global, 1e-9 * global * global) << line;
+  }
+  std::remove(log_path.c_str());
 }
 
 // ---------- Kill-and-resume event-log stitching ----------

@@ -13,6 +13,9 @@
 # src/tensor/int8.h — holds its tolerance contract everywhere, not just in
 # the tests that opt into it).
 #
+# The observability smoke (tools/obs_smoke.sh, the same script CI runs)
+# follows the serve_bench smokes.
+#
 # Last, tier1 (serve battery included) runs once more from a second build
 # tree, build-tsan/, compiled with GCC -fsanitize=thread; any data race
 # report fails the suite (there are no suppressions).
@@ -40,6 +43,8 @@ echo "=== serve_bench smoke (open-loop load, must sustain throughput) ==="
 ./bench/serve_bench --duration 5 --rps 200 --p99-ms 250
 echo "=== serve_bench smoke (int8 quantized path) ==="
 ./bench/serve_bench --duration 5 --rps 200 --p99-ms 250 --int8
+echo "=== observability smoke (rtrace, --train-events, /trainz) ==="
+../tools/obs_smoke.sh
 echo "=== slow (integration tests) ==="
 ctest -L slow --output-on-failure -j "$@"
 
