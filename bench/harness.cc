@@ -1,22 +1,31 @@
 #include "bench/harness.h"
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "util/env.h"
 #include "util/trace.h"
 
 namespace emba {
 namespace bench {
 
-std::vector<std::string> TableDatasetRows(const BenchScale& scale) {
-  // EMBA_BENCH_ROWS=a,b,c overrides the row set (spot checks / CI).
-  if (const char* env = std::getenv("EMBA_BENCH_ROWS")) {
-    std::vector<std::string> rows;
-    for (auto& name : Split(env, ',')) {
+namespace {
+
+// EMBA_BENCH_ROWS=a,b,c overrides a bench's row set (spot checks / CI);
+// empty when unset.
+std::vector<std::string> RowsFromEnv() {
+  std::vector<std::string> rows;
+  if (auto list = env::ReadString(env::Knob::kBenchRows)) {
+    for (auto& name : Split(*list, ',')) {
       if (!name.empty()) rows.push_back(name);
     }
-    if (!rows.empty()) return rows;
   }
+  return rows;
+}
+
+}  // namespace
+
+std::vector<std::string> TableDatasetRows(const BenchScale& scale) {
+  if (auto rows = RowsFromEnv(); !rows.empty()) return rows;
   if (scale.full) {
     return data::AllDatasetNames();  // all 16 WDC rows + 6 benchmarks
   }
@@ -28,13 +37,7 @@ std::vector<std::string> TableDatasetRows(const BenchScale& scale) {
 }
 
 std::vector<std::string> AblationDatasetRows(const BenchScale& scale) {
-  if (const char* env = std::getenv("EMBA_BENCH_ROWS")) {
-    std::vector<std::string> rows;
-    for (auto& name : Split(env, ',')) {
-      if (!name.empty()) rows.push_back(name);
-    }
-    if (!rows.empty()) return rows;
-  }
+  if (auto rows = RowsFromEnv(); !rows.empty()) return rows;
   if (scale.full) return data::AllDatasetNames();
   return {"wdc_computers_small", "wdc_computers_xlarge", "abt_buy",
           "books"};

@@ -132,10 +132,10 @@ void RunThreadSweep(int threads, const std::string& json_path) {
     SetGlobalThreads(t);
     ThreadSweepPoint point;
     point.threads = t;
-    int8::ForceModeForTest(int8::Mode::kOff);
+    int8::SetRuntimeMode(int8::Mode::kOff);
     point.pairs_per_second =
         MeasureBatchedInference(model.get(), dataset.test, min_seconds);
-    int8::ForceModeForTest(int8::Mode::kOn);
+    int8::SetRuntimeMode(int8::Mode::kOn);
     point.int8_pairs_per_second =
         MeasureBatchedInference(model.get(), dataset.test, min_seconds);
     int8::ResetMode();

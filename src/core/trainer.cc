@@ -493,7 +493,6 @@ Status Trainer::Run(TrainResult* out) {
   // module and opens (or, on resume, trims) the JSONL event log; all are
   // once-per-run costs. The per-step hooks below all hide behind one
   // TelemetryActive() relaxed-load gate.
-  if (config_.nan_abort) train_obs::SetNanAbort(true);
   {
     train_obs::RunInfo run_info;
     run_info.dataset = dataset_->name;

@@ -70,11 +70,6 @@ struct TrainConfig {
   /// Emission is additionally throttled to at most one line per second;
   /// suppressed firings count in `training.heartbeat.suppressed`.
   double heartbeat_seconds = 30.0;
-  /// Fail fast on the first non-finite loss or gradient (the train_obs
-  /// numerics sentinels): the process exits with
-  /// train_obs::kNanAbortExitCode after naming the offending task or
-  /// parameter. Arming this also turns per-step telemetry on.
-  bool nan_abort = false;
   /// Test hook exercising the sentinels end to end: poisons the first
   /// gradient element with +inf right after the backward pass of this
   /// global step. -1 disables.

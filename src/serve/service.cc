@@ -89,10 +89,9 @@ void RegisterBuildzProviders() {
       return std::string(kernels::CpuSupportsAvx2() ? "true" : "false");
     });
     AddBuildzSection("int8_mode", [] {
-      return std::string(int8::ModeName(int8::ActiveMode()));
+      return std::string(int8::ActiveMode() == int8::Mode::kOn ? "on" : "off");
     });
     AddBuildzSection("arena", [] {
-      if (ActivationArena::DisabledByEnv()) return std::string("disabled");
       return "capacity_bytes=" +
              std::to_string(ActivationArena::GlobalStats().capacity_bytes);
     });

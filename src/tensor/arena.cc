@@ -1,8 +1,6 @@
 #include "tensor/arena.h"
 
 #include <atomic>
-#include <cctype>
-#include <cstdlib>
 #include <new>
 
 #include "util/metrics.h"
@@ -14,19 +12,19 @@
 // stale arena tensor then faults under ASan instead of returning old bytes,
 // and ASan never reports false positives on live allocations.
 #if defined(__SANITIZE_ADDRESS__)
-#define EMBA_ARENA_ASAN 1
+#define EMBA_ASAN_ENABLED 1
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer)
-#define EMBA_ARENA_ASAN 1
+#define EMBA_ASAN_ENABLED 1
 #endif
 #endif
-#ifdef EMBA_ARENA_ASAN
+#ifdef EMBA_ASAN_ENABLED
 #include <sanitizer/asan_interface.h>
-#define EMBA_ARENA_POISON(p, n) ASAN_POISON_MEMORY_REGION((p), (n))
-#define EMBA_ARENA_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION((p), (n))
+#define EMBA_ASAN_POISON(p, n) ASAN_POISON_MEMORY_REGION((p), (n))
+#define EMBA_ASAN_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION((p), (n))
 #else
-#define EMBA_ARENA_POISON(p, n) ((void)0)
-#define EMBA_ARENA_UNPOISON(p, n) ((void)0)
+#define EMBA_ASAN_POISON(p, n) ((void)0)
+#define EMBA_ASAN_UNPOISON(p, n) ((void)0)
 #endif
 
 namespace emba {
@@ -44,27 +42,9 @@ std::atomic<int64_t> g_heap_fallbacks{0};
 std::atomic<int64_t> g_capacity_override{0};  // test hook; 0 = default
 std::atomic<bool> g_force_disabled{false};
 
-bool EqualsIgnoreCase(const char* a, const char* b) {
-  for (;; ++a, ++b) {
-    int ca = std::tolower(static_cast<unsigned char>(*a));
-    int cb = std::tolower(static_cast<unsigned char>(*b));
-    if (ca != cb) return false;
-    if (ca == '\0') return true;
-  }
-}
-
 int64_t ConfiguredCapacity() {
   const int64_t forced = g_capacity_override.load(std::memory_order_relaxed);
-  if (forced > 0) return forced;
-  static const int64_t from_env = [] {
-    const char* env = std::getenv("EMBA_ARENA_BYTES");
-    if (env == nullptr) return kDefaultCapacityBytes;
-    char* end = nullptr;
-    const long long v = std::strtoll(env, &end, 10);
-    return (end != env && v > 0) ? static_cast<int64_t>(v)
-                                 : kDefaultCapacityBytes;
-  }();
-  return from_env;
+  return forced > 0 ? forced : kDefaultCapacityBytes;
 }
 
 void MaxIntoGlobalHighWater(int64_t candidate) {
@@ -86,7 +66,7 @@ struct ThreadArena {
 
   ~ThreadArena() {
     if (buffer != nullptr) {
-      EMBA_ARENA_UNPOISON(buffer, capacity);
+      EMBA_ASAN_UNPOISON(buffer, capacity);
       ::operator delete(buffer, std::align_val_t(kAlignment));
     }
   }
@@ -104,19 +84,8 @@ ActivationArena::Scope::~Scope() {
   --t_arena.depth;
 }
 
-bool ActivationArena::DisabledByEnv() {
-  static const bool disabled = [] {
-    const char* env = std::getenv("EMBA_ARENA");
-    if (env == nullptr) return false;
-    return EqualsIgnoreCase(env, "off") || EqualsIgnoreCase(env, "0") ||
-           EqualsIgnoreCase(env, "false");
-  }();
-  return disabled;
-}
-
 bool ActivationArena::Active() {
-  return t_arena.depth > 0 && !DisabledByEnv() &&
-         !g_force_disabled.load(std::memory_order_relaxed);
+  return t_arena.depth > 0 && !g_force_disabled.load(std::memory_order_relaxed);
 }
 
 float* ActivationArena::Allocate(int64_t count) {
@@ -126,7 +95,7 @@ float* ActivationArena::Allocate(int64_t count) {
     a.capacity = ConfiguredCapacity();
     a.buffer = static_cast<char*>(
         ::operator new(a.capacity, std::align_val_t(kAlignment)));
-    EMBA_ARENA_POISON(a.buffer, a.capacity);
+    EMBA_ASAN_POISON(a.buffer, a.capacity);
   }
   const int64_t bytes =
       (count * static_cast<int64_t>(sizeof(float)) + kAlignment - 1) &
@@ -137,7 +106,7 @@ float* ActivationArena::Allocate(int64_t count) {
     return nullptr;
   }
   float* p = reinterpret_cast<float*>(a.buffer + a.offset);
-  EMBA_ARENA_UNPOISON(p, count * static_cast<int64_t>(sizeof(float)));
+  EMBA_ASAN_UNPOISON(p, count * static_cast<int64_t>(sizeof(float)));
   a.offset += bytes;
   if (a.offset > a.high_water) {
     a.high_water = a.offset;
@@ -158,7 +127,7 @@ void ActivationArena::Reset() {
                  "ActivationArena::Reset inside a nested Scope would free "
                  "the outer scope's live activations");
   if (a.buffer != nullptr && a.offset > 0) {
-    EMBA_ARENA_POISON(a.buffer, a.offset);
+    EMBA_ASAN_POISON(a.buffer, a.offset);
   }
   a.offset = 0;
   ++a.resets;
@@ -193,7 +162,7 @@ void ActivationArena::SetCapacityForTest(int64_t bytes) {
   ThreadArena& a = t_arena;
   EMBA_CHECK_MSG(a.depth == 0, "SetCapacityForTest inside an active Scope");
   if (a.buffer != nullptr) {
-    EMBA_ARENA_UNPOISON(a.buffer, a.capacity);
+    EMBA_ASAN_UNPOISON(a.buffer, a.capacity);
     ::operator delete(a.buffer, std::align_val_t(kAlignment));
     a.buffer = nullptr;
     a.capacity = 0;

@@ -15,9 +15,9 @@
 //     Tensor::EnsureHeap() / Tensor::HeapClone() before Reset() runs.
 //   - Reset() is only legal at Scope depth 1 (the outermost scope); nested
 //     scopes share the outer scope's buffer and must not reset it.
-//   - The arena never hands out storage while inactive: outside a Scope —
-//     or when disabled via EMBA_ARENA=off — Allocate() returns nullptr and
-//     tensors fall back to the heap, byte-for-byte equivalent.
+//   - The arena never hands out storage while inactive: outside a Scope (or
+//     under ForceDisabledForTest) Allocate() returns nullptr and tensors
+//     fall back to the heap, byte-for-byte equivalent.
 //
 // When the buffer is exhausted mid-sample, Allocate() returns nullptr and
 // the caller falls back to the heap (counted in Stats::heap_fallbacks);
@@ -71,12 +71,9 @@ class ActivationArena {
   /// depth <= 1; any arena-backed tensor still alive afterwards dangles.
   static void Reset();
 
-  /// True while the calling thread is inside a Scope and the arena is
-  /// enabled (EMBA_ARENA not set to off/0/false).
+  /// True while the calling thread is inside a Scope and the arena is not
+  /// force-disabled.
   static bool Active();
-
-  /// True when EMBA_ARENA disables the arena process-wide.
-  static bool DisabledByEnv();
 
   static Stats ThreadStats();
   /// Aggregated across all threads since process start: high water is the
@@ -85,9 +82,9 @@ class ActivationArena {
 
   // ---- test hooks ----
   /// Overrides the per-thread capacity (applies to buffers created after the
-  /// call on each thread; pass 0 to restore the default / EMBA_ARENA_BYTES).
+  /// call on each thread; pass 0 to restore the 8 MiB default).
   static void SetCapacityForTest(int64_t bytes);
-  /// Forces Active() false regardless of scopes, as if EMBA_ARENA=off.
+  /// Forces Active() false regardless of scopes: the heap reference path.
   static void ForceDisabledForTest(bool disabled);
 };
 

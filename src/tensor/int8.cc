@@ -4,14 +4,12 @@
 // dispatched KernelTable backends; this file is orchestration.
 #include "tensor/int8.h"
 
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
 #include "tensor/kernels.h"
-#include "util/logging.h"
+#include "util/env.h"
 #include "util/metrics.h"
 #include "util/status.h"
 
@@ -25,35 +23,15 @@ constexpr int64_t kMaxK = (int64_t{1} << 31) / 16129 - 1;
 
 constexpr int kModeUnresolved = -1;
 
-bool EqualsIgnoreCase(const char* a, const char* b) {
-  for (;; ++a, ++b) {
-    int ca = std::tolower(static_cast<unsigned char>(*a));
-    int cb = std::tolower(static_cast<unsigned char>(*b));
-    if (ca != cb) return false;
-    if (ca == '\0') return true;
-  }
-}
-
+// Unset or malformed (the reader warns) means off.
 Mode ResolveFromEnv() {
-  const char* env = std::getenv("EMBA_INT8");
-  if (env == nullptr) return Mode::kOff;
-  if (EqualsIgnoreCase(env, "on") || EqualsIgnoreCase(env, "1") ||
-      EqualsIgnoreCase(env, "true")) {
-    return Mode::kOn;
-  }
-  if (EqualsIgnoreCase(env, "auto")) return Mode::kAuto;
-  if (!EqualsIgnoreCase(env, "off") && !EqualsIgnoreCase(env, "0") &&
-      !EqualsIgnoreCase(env, "false")) {
-    EMBA_LOG(WARN) << "EMBA_INT8=" << env
-                   << " not recognized (off|on|auto); int8 path stays off";
-  }
-  return Mode::kOff;
+  return env::ReadBool(env::Knob::kInt8).value_or(false) ? Mode::kOn
+                                                        : Mode::kOff;
 }
 
-// kModeUnresolved until first use; overrides write a resolved value.
+// kModeUnresolved until first use or SetRuntimeMode; either writes a
+// resolved value, so an override wins over EMBA_INT8 until ResetMode.
 std::atomic<int> g_mode{kModeUnresolved};
-// Set by SetRuntimeMode/ForceModeForTest; when >= 0 it wins over the env.
-std::atomic<int> g_override{kModeUnresolved};
 
 std::atomic<uint64_t> g_weight_generation{0};
 std::atomic<int64_t> g_cache_bytes{0};
@@ -194,44 +172,31 @@ void DestroyQuantizedWeight(QuantizedWeight* qw) {
 
 }  // namespace
 
-const char* ModeName(Mode m) {
-  switch (m) {
-    case Mode::kOn: return "on";
-    case Mode::kAuto: return "auto";
-    default: return "off";
-  }
-}
-
 Mode ActiveMode() {
-  const int forced = g_override.load(std::memory_order_acquire);
-  if (forced != kModeUnresolved) return static_cast<Mode>(forced);
   int mode = g_mode.load(std::memory_order_acquire);
   if (mode == kModeUnresolved) {
-    // Benign race: concurrent first calls resolve identically.
-    mode = static_cast<int>(ResolveFromEnv());
-    g_mode.store(mode, std::memory_order_release);
+    // Concurrent first calls resolve identically; the CAS keeps a
+    // concurrent SetRuntimeMode from being overwritten by the env value.
+    const int resolved = static_cast<int>(ResolveFromEnv());
+    if (g_mode.compare_exchange_strong(mode, resolved,
+                                       std::memory_order_acq_rel)) {
+      mode = resolved;
+    }
   }
   return static_cast<Mode>(mode);
 }
 
 void SetRuntimeMode(Mode m) {
-  g_override.store(static_cast<int>(m), std::memory_order_release);
+  g_mode.store(static_cast<int>(m), std::memory_order_release);
 }
 
-void ForceModeForTest(Mode m) { SetRuntimeMode(m); }
-
 void ResetMode() {
-  g_override.store(kModeUnresolved, std::memory_order_release);
   g_mode.store(kModeUnresolved, std::memory_order_release);
 }
 
 bool Eligible(int64_t m, int64_t k, int64_t n) {
   if (m < 1 || k < 1 || n < 1 || k > kMaxK) return false;
-  switch (ActiveMode()) {
-    case Mode::kOn: return true;
-    case Mode::kAuto: return k * n >= kAutoMinWeightElems;
-    default: return false;
-  }
+  return ActiveMode() == Mode::kOn;
 }
 
 uint64_t WeightGeneration() {

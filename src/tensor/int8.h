@@ -25,11 +25,10 @@
 // Eligibility and gating
 // ----------------------
 // The path is only ever taken under ag::InferenceModeGuard — training math
-// stays fp32 bit-exact. On top of that, EMBA_INT8 gates it process-wide:
-//   off   (default/unset) — never taken; PR-7 fp32 bit-identity holds.
-//   on    — taken for every eligible Linear matmul under inference mode.
-//   auto  — taken only for shapes big enough to amortize quantization
-//           (k·n ≥ kAutoMinWeightElems).
+// stays fp32 bit-exact. On top of that, EMBA_INT8 (a bool) gates it
+// process-wide:
+//   off (default/unset) — never taken; fp32 bit-identity holds.
+//   on  — taken for every eligible Linear matmul under inference mode.
 // `--int8` on emba_cli / serve_bench maps to SetRuntimeMode(kOn).
 //
 // Weight cache
@@ -56,26 +55,19 @@ namespace int8 {
 enum class Mode {
   kOff = 0,
   kOn = 1,
-  kAuto = 2,
 };
-
-/// "off" / "on" / "auto".
-const char* ModeName(Mode m);
 
 /// The resolved process-wide mode: runtime/test override if set, else
 /// EMBA_INT8 (unrecognized values mean off), cached after first use.
 Mode ActiveMode();
 
-/// Programmatic override (the --int8 flag). Takes precedence over EMBA_INT8.
+/// Programmatic override (the --int8 flag, tests and benches). Takes
+/// precedence over EMBA_INT8.
 void SetRuntimeMode(Mode m);
 
-/// Test hooks mirroring kernels::ForceBackend/ResetBackend.
-void ForceModeForTest(Mode m);
-/// Drops any override and re-resolves from EMBA_INT8.
+/// Test hook mirroring kernels::ResetBackend: drops any override and
+/// re-resolves from EMBA_INT8.
 void ResetMode();
-
-/// Minimum k·n (weight elements) for the auto mode to take the int8 path.
-inline constexpr int64_t kAutoMinWeightElems = 64 * 64;
 
 /// True when an inference-mode Linear matmul of activation [m×k] against
 /// weight [k×n] should take the int8 path under the active mode. Callers

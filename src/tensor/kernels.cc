@@ -9,11 +9,9 @@
 #include "tensor/kernels.h"
 
 #include <atomic>
-#include <cctype>
-#include <cstdlib>
 #include <cstring>
 
-#include "util/logging.h"
+#include "util/env.h"
 #include "util/metrics.h"
 #include "util/status.h"
 #include "util/trace.h"
@@ -35,15 +33,6 @@ namespace {
 
 std::atomic<const KernelTable*> g_active{nullptr};
 
-bool EqualsIgnoreCase(const char* a, const char* b) {
-  for (;; ++a, ++b) {
-    int ca = std::tolower(static_cast<unsigned char>(*a));
-    int cb = std::tolower(static_cast<unsigned char>(*b));
-    if (ca != cb) return false;
-    if (ca == '\0') return true;
-  }
-}
-
 #if defined(__x86_64__) || defined(__i386__)
 uint64_t Xgetbv0() {
   uint32_t eax, edx;
@@ -59,30 +48,13 @@ void PublishBackendGauge(const KernelTable* table) {
 
 const KernelTable* ResolveBackend() {
   EMBA_TRACE_SPAN("kernels/dispatch");
-  const KernelTable* resolved = nullptr;
-  const char* env = std::getenv("EMBA_SIMD");
-  if (env != nullptr) {
-    if (SimdDisabledByEnvValue(env)) {
-      resolved = &ScalarKernels();
-    } else if (EqualsIgnoreCase(env, "avx2") || EqualsIgnoreCase(env, "on") ||
-               EqualsIgnoreCase(env, "1")) {
-      const KernelTable* avx2 = Avx2KernelsOrNull();
-      if (avx2 != nullptr && CpuSupportsAvx2()) {
-        resolved = avx2;
-      } else {
-        EMBA_LOG(WARN) << "EMBA_SIMD=" << env
-                       << " requested but the AVX2 backend is unavailable "
-                          "(build or CPU); using scalar kernels";
-        resolved = &ScalarKernels();
-      }
-    }
-    // Unrecognized value: fall through to auto.
-  }
-  if (resolved == nullptr) {
-    const KernelTable* avx2 = Avx2KernelsOrNull();
-    resolved =
-        (avx2 != nullptr && CpuSupportsAvx2()) ? avx2 : &ScalarKernels();
-  }
+  // EMBA_SIMD=off forces scalar; unset, on or malformed (the reader warns)
+  // dispatches on cpuid.
+  const bool simd = env::ReadBool(env::Knob::kSimd).value_or(true);
+  const KernelTable* avx2 = Avx2KernelsOrNull();
+  const KernelTable* resolved = (simd && avx2 != nullptr && CpuSupportsAvx2())
+                                    ? avx2
+                                    : &ScalarKernels();
   PublishBackendGauge(resolved);
   return resolved;
 }
@@ -116,12 +88,6 @@ bool CpuSupportsAvx2() {
 #else
   return false;
 #endif
-}
-
-bool SimdDisabledByEnvValue(const char* value) {
-  if (value == nullptr) return false;
-  return EqualsIgnoreCase(value, "off") || EqualsIgnoreCase(value, "0") ||
-         EqualsIgnoreCase(value, "scalar") || EqualsIgnoreCase(value, "false");
 }
 
 const KernelTable& Active() {

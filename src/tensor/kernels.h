@@ -31,11 +31,11 @@
 // Dispatch policy
 // ---------------
 // Resolution order, cached on first use:
-//   1. EMBA_SIMD env var: "off"/"0"/"scalar" force the scalar backend,
-//      anything else (or unset) means auto.
-//   2. If the AVX2 translation unit was compiled in (CMake EMBA_ENABLE_AVX2,
-//      default auto-detect) and cpuid reports AVX2+FMA with OS xsave
-//      support, the AVX2 backend is selected.
+//   1. EMBA_SIMD, a bool (util/env.h): off forces the scalar backend; unset
+//      or on means dispatch.
+//   2. If the AVX2 translation unit was compiled in (it is whenever the
+//      compiler accepts -mavx2 -mfma) and cpuid reports AVX2+FMA with OS
+//      xsave support, the AVX2 backend is selected.
 //   3. Otherwise the scalar backend.
 // ForceBackend/ResetBackend give tests and benches explicit control.
 #pragma once
@@ -189,8 +189,8 @@ void Int8PackWeights(int8_t* packed, const int8_t* wq_t, int64_t k, int64_t n);
 /// The portable scalar reference backend.
 const KernelTable& ScalarKernels();
 
-/// The AVX2+FMA backend, or nullptr when the TU was not compiled in
-/// (EMBA_ENABLE_AVX2=OFF or no compiler support).
+/// The AVX2+FMA backend, or nullptr when the TU was not compiled in (the
+/// compiler lacks -mavx2 -mfma).
 const KernelTable* Avx2KernelsOrNull();
 
 /// True when cpuid reports AVX2 + FMA and the OS enables YMM state.
@@ -200,10 +200,6 @@ bool CpuSupportsAvx2();
 /// single atomic load per call site.
 const KernelTable& Active();
 Backend ActiveBackend();
-
-/// True when `value` (an EMBA_SIMD setting) disables the SIMD backend.
-/// Recognized: "off", "0", "scalar", "false" (case-insensitive).
-bool SimdDisabledByEnvValue(const char* value);
 
 /// Explicit override for tests/benches. Forcing kAvx2 aborts when the
 /// backend is unavailable on this build/CPU.

@@ -5,13 +5,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <mutex>
 #include <optional>
 #include <sstream>
 
 #include "util/atomic_file.h"
+#include "util/env.h"
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -304,37 +304,13 @@ bool TelemetryActive() {
          ObservabilityServerRunning();
 }
 
-namespace {
-
-bool EnvFlagOn(const char* value) {
-  return std::strcmp(value, "1") == 0 || std::strcmp(value, "true") == 0 ||
-         std::strcmp(value, "on") == 0;
-}
-
-bool EnvFlagOff(const char* value) {
-  return value[0] == '\0' || std::strcmp(value, "0") == 0 ||
-         std::strcmp(value, "false") == 0 || std::strcmp(value, "off") == 0;
-}
-
-}  // namespace
-
 void InitTrainObsFromEnv() {
-  if (const char* env = std::getenv("EMBA_TRAIN_EVENTS")) {
-    if (env[0] != '\0') SetEventLogPath(env);
+  if (auto path = env::ReadString(env::Knob::kTrainEvents)) {
+    SetEventLogPath(*path);
   }
-  if (const char* env = std::getenv("EMBA_NAN_ABORT")) {
-    if (EnvFlagOn(env)) {
-      SetNanAbort(true);
-    } else if (!EnvFlagOff(env)) {
-      EMBA_LOG(WARN) << "ignoring bad EMBA_NAN_ABORT value: " << env;
-    }
-  }
-  if (const char* env = std::getenv("EMBA_ATTN_STATS")) {
-    if (EnvFlagOn(env)) {
-      SetAttnStatsEnabled(true);
-    } else if (!EnvFlagOff(env)) {
-      EMBA_LOG(WARN) << "ignoring bad EMBA_ATTN_STATS value: " << env;
-    }
+  if (env::ReadBool(env::Knob::kNanAbort).value_or(false)) SetNanAbort(true);
+  if (env::ReadBool(env::Knob::kAttnStats).value_or(false)) {
+    SetAttnStatsEnabled(true);
   }
 }
 

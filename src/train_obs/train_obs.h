@@ -82,8 +82,8 @@ bool AttnStatsEnabled();
 bool TelemetryActive();
 
 /// Applies EMBA_TRAIN_EVENTS (event-log path), EMBA_NAN_ABORT and
-/// EMBA_ATTN_STATS ("1"/"true"/"on" enable, anything else ignored with a
-/// warning). Called from InitObservabilityFromEnv-adjacent main() wiring.
+/// EMBA_ATTN_STATS (bools; on enables, a malformed value warns and is
+/// ignored). Called from InitObservabilityFromEnv-adjacent main() wiring.
 void InitTrainObsFromEnv();
 
 // ---------------------------------------------------------------------------

@@ -1,25 +1,16 @@
 #include "util/bench_scale.h"
 
-#include <cstdlib>
-#include <cstring>
+#include "util/env.h"
 
 namespace emba {
 
 BenchScale GetBenchScale() {
-  BenchScale scale;
-  scale.epochs = 4;       // TrainOnce grants up to +4 adaptively
-  scale.hidden_dim = 32;  // calibrated: ~400 pairs/s on one core
-  scale.layers = 2;
-  scale.heads = 4;
-  scale.max_len = 48;
-  const char* env = std::getenv("EMBA_BENCH_SCALE");
-  if (env != nullptr && std::strcmp(env, "full") == 0) {
+  BenchScale scale;  // quick
+  if (env::ReadChoice(env::Knob::kBenchScale, {"quick", "full"}) == 1u) {
     scale.full = true;
     scale.seeds = 5;
     scale.epochs = 10;
     scale.hidden_dim = 48;
-    scale.layers = 2;
-    scale.heads = 4;
     scale.max_len = 64;
     scale.size_factor = 1.5;
   }

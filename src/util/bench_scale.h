@@ -11,11 +11,12 @@
 
 namespace emba {
 
+/// Defaults are the quick scale.
 struct BenchScale {
   bool full = false;      ///< EMBA_BENCH_SCALE=full
   int seeds = 2;          ///< independent training runs per (model, dataset)
-  int epochs = 6;         ///< max training epochs (early stopping may cut)
-  int hidden_dim = 48;    ///< encoder hidden size
+  int epochs = 4;         ///< max epochs; TrainOnce grants up to +4 adaptively
+  int hidden_dim = 32;    ///< encoder hidden size (~400 pairs/s on one core)
   int layers = 2;         ///< encoder depth
   int heads = 4;          ///< attention heads
   int max_len = 48;       ///< max tokens per serialized pair

@@ -1,31 +1,24 @@
 #include "util/logging.h"
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <iostream>
 
+#include "util/env.h"
 #include "util/trace.h"
 
 namespace emba {
 namespace {
 
-LogLevel InitialLevel() {
-  const char* env = std::getenv("EMBA_LOG_LEVEL");
-  if (env == nullptr) return LogLevel::kInfo;
-  if (std::strcmp(env, "DEBUG") == 0) return LogLevel::kDebug;
-  if (std::strcmp(env, "INFO") == 0) return LogLevel::kInfo;
-  if (std::strcmp(env, "WARN") == 0) return LogLevel::kWarn;
-  if (std::strcmp(env, "ERROR") == 0) return LogLevel::kError;
-  return LogLevel::kInfo;
-}
-
-LogLevel& MutableLevel() {
-  static LogLevel level = InitialLevel();
-  return level;
-}
+// kUnresolved until first use. Resolution stores the default before it
+// reads EMBA_LOG_LEVEL, so the reader's warning about a malformed value
+// prints at that default instead of re-entering resolution.
+constexpr int kUnresolved = -1;
+constexpr int kDefault = static_cast<int>(LogLevel::kInfo);
+std::atomic<int> g_level{kUnresolved};
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -67,8 +60,22 @@ std::string WallClockStamp() {
 
 }  // namespace
 
-LogLevel GetLogLevel() { return MutableLevel(); }
-void SetLogLevel(LogLevel level) { MutableLevel() = level; }
+LogLevel GetLogLevel() {
+  int level = g_level.load(std::memory_order_relaxed);
+  if (level == kUnresolved) {
+    // Benign race: concurrent first calls resolve identically.
+    g_level.store(kDefault, std::memory_order_relaxed);
+    const auto from_env = env::ReadChoice(
+        env::Knob::kLogLevel, {"debug", "info", "warn", "error"});
+    level = from_env ? static_cast<int>(*from_env) : kDefault;
+    g_level.store(level, std::memory_order_relaxed);
+  }
+  return static_cast<LogLevel>(level);
+}
+
+void SetLogLevel(LogLevel level) {
+  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
+}
 
 namespace internal {
 

@@ -1,7 +1,7 @@
 // Minimal leveled logging to stderr. Stream-style:
 //   EMBA_LOG(INFO) << "trained " << n << " steps";
 // Level is process-global and settable via EMBA_LOG_LEVEL env var
-// (DEBUG/INFO/WARN/ERROR) or programmatically.
+// (debug/info/warn/error, any case) or programmatically.
 //
 // Line format:
 //   [INFO 2026-08-07 14:03:21.482 t0 trainer.cc:412] message

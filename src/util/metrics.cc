@@ -406,11 +406,6 @@ Histogram& GetHistogram(const std::string& name, std::vector<double> bounds) {
 
 namespace {
 std::atomic<bool> g_enabled{false};
-std::mutex g_path_mutex;
-std::string& OutputPath() {
-  static std::string* path = new std::string();
-  return *path;
-}
 }  // namespace
 
 bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
@@ -493,31 +488,6 @@ void SampleProcessGauges() {
 Status DumpMetricsJson(const std::string& path) {
   SampleProcessGauges();
   return WriteFileAtomic(path, Registry::Global().ToJson());
-}
-
-void SetMetricsOutputPath(const std::string& path) {
-  std::lock_guard<std::mutex> lock(g_path_mutex);
-  OutputPath() = path;
-}
-
-std::string MetricsOutputPath() {
-  std::lock_guard<std::mutex> lock(g_path_mutex);
-  return OutputPath();
-}
-
-void InitMetricsFromEnv() {
-  if (const char* env = std::getenv("EMBA_METRICS_OUT")) {
-    if (env[0] != '\0') {
-      SetMetricsOutputPath(env);
-      SetEnabled(true);
-    }
-  }
-}
-
-Status FlushMetricsIfConfigured() {
-  std::string path = MetricsOutputPath();
-  if (path.empty()) return Status::OK();
-  return DumpMetricsJson(path);
 }
 
 }  // namespace metrics

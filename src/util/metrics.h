@@ -18,9 +18,10 @@
 // distributions with percentile summaries derived by linear interpolation
 // within the owning bucket.
 //
-// `Enabled()` gates only the *expensive* instrumentation (per-kernel-call
-// counters, thread-pool queue-wait clocks); coarse per-batch/per-epoch
-// updates are always on — they cost nanoseconds at their call rate.
+// `Enabled()` gates only the *expensive* instrumentation (the thread pool's
+// per-ParallelFor chunk counters and queue-wait clocks); coarse
+// per-batch/per-epoch updates are always on — they cost nanoseconds at
+// their call rate.
 #pragma once
 
 #include <atomic>
@@ -191,9 +192,9 @@ Gauge& GetGauge(const std::string& name);
 Histogram& GetHistogram(const std::string& name,
                         std::vector<double> bounds = {});
 
-/// Gate for instrumentation too hot to leave always-on (per-kernel-call
-/// counters, queue-wait clocks). Off by default; flipped by --metrics-out /
-/// EMBA_METRICS_OUT or explicitly by tests.
+/// Gate for instrumentation too hot to leave always-on (the thread pool's
+/// chunk counters and queue-wait clocks). Off by default; flipped by
+/// --metrics-out / EMBA_METRICS_OUT or explicitly by tests and benches.
 bool Enabled();
 void SetEnabled(bool enabled);
 
@@ -229,17 +230,6 @@ void AddScrapeSampler(std::function<void()> sampler);
 /// Atomically writes the registry JSON to `path` (util/atomic_file).
 /// Samples the process gauges first, so headless dumps carry them too.
 Status DumpMetricsJson(const std::string& path);
-
-/// Where FlushMetricsIfConfigured() writes; empty = nowhere.
-void SetMetricsOutputPath(const std::string& path);
-std::string MetricsOutputPath();
-
-/// Reads EMBA_METRICS_OUT; when set, enables metrics and configures the
-/// output path.
-void InitMetricsFromEnv();
-
-/// Dumps to the configured path, if any. OK (and a no-op) when unconfigured.
-Status FlushMetricsIfConfigured();
 
 }  // namespace metrics
 }  // namespace emba

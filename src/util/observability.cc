@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/env.h"
 #include "util/http_server.h"
 #include "util/json.h"
 #include "util/logging.h"
@@ -24,6 +25,19 @@ std::once_flag g_atexit_once;
 
 void RegisterFlushAtExit() {
   std::call_once(g_atexit_once, [] { std::atexit(FlushObservability); });
+}
+
+// The files FlushObservability writes (--metrics-out / EMBA_METRICS_OUT,
+// --trace-out / EMBA_TRACE_OUT); empty = not written.
+struct OutputPaths {
+  std::mutex mutex;
+  std::string metrics;
+  std::string trace;
+};
+
+OutputPaths& Outputs() {
+  static OutputPaths* paths = new OutputPaths();  // leaked: read at exit
+  return *paths;
 }
 
 }  // namespace
@@ -255,17 +269,6 @@ http::HttpResponse HandleRpcz(const http::HttpRequest& req) {
 #define EMBA_GIT_SHA "unknown"
 #endif
 
-// Every environment knob the codebase reads, reported with its live value
-// so "what was this process actually configured with" has one answer.
-const char* const kEnvKnobs[] = {
-    "EMBA_SIMD",         "EMBA_INT8",        "EMBA_ARENA",
-    "EMBA_ARENA_BYTES",  "EMBA_NUM_THREADS", "EMBA_METRICS_OUT",
-    "EMBA_TRACE_OUT",    "EMBA_OBS_PORT",    "EMBA_RTRACE",
-    "EMBA_ACCESS_LOG",   "EMBA_RPCZ_K",      "EMBA_TRAIN_EVENTS",
-    "EMBA_NAN_ABORT",    "EMBA_ATTN_STATS",  "EMBA_LOG_LEVEL",
-    "EMBA_BENCH_SCALE",  "EMBA_BENCH_ROWS",
-};
-
 struct BuildzSections {
   std::mutex mutex;
   // Ordered map: /buildz output is diffable across scrapes.
@@ -290,11 +293,12 @@ http::HttpResponse HandleBuildz(const http::HttpRequest&) {
       << json::NumberToString(now_unix - stats.uptime_seconds)
       << ", \"uptime_seconds\": " << json::NumberToString(stats.uptime_seconds)
       << ", \"env\": {";
-  bool first = true;
-  for (const char* knob : kEnvKnobs) {
-    out << (first ? "" : ", ") << "\"" << knob << "\": ";
-    first = false;
-    if (const char* value = std::getenv(knob)) {
+  // Every env knob the codebase reads (util/env.h), with its live value, so
+  // "what was this process actually configured with" has one answer.
+  for (int i = 0; i < static_cast<int>(env::Knob::kCount); ++i) {
+    const env::Knob knob = static_cast<env::Knob>(i);
+    out << (i == 0 ? "" : ", ") << "\"" << env::Name(knob) << "\": ";
+    if (const char* value = env::Raw(knob)) {
       out << '"' << json::Escape(value) << '"';
     } else {
       out << "null";
@@ -465,55 +469,68 @@ int ObservabilityServerPort() {
 // Init / flush
 
 void InitObservabilityFromEnv() {
-  metrics::InitMetricsFromEnv();
-  trace::InitTraceFromEnv();
-  rtrace::InitRequestTraceFromEnv();
-  if (!metrics::MetricsOutputPath().empty() ||
-      !trace::TraceOutputPath().empty() ||
-      !rtrace::AccessLogPath().empty()) {
-    RegisterFlushAtExit();
-  }
   // Env-driven wiring must never abort a run: malformed values warn and are
-  // ignored, and a failed bind (port taken) is reported but non-fatal.
-  if (const char* env = std::getenv("EMBA_OBS_PORT")) {
-    if (env[0] != '\0') {
-      char* end = nullptr;
-      const long port = std::strtol(env, &end, 10);
-      if (end == env || *end != '\0' || port < 0 || port > 65535) {
-        EMBA_LOG(WARN) << "ignoring bad EMBA_OBS_PORT value: " << env;
-      } else {
-        Status status = StartObservabilityServer(static_cast<int>(port));
-        if (!status.ok()) {
-          EMBA_LOG(WARN) << "EMBA_OBS_PORT server start failed: " << status;
-        }
-      }
+  // ignored, and a failed open or bind (port taken) is reported but
+  // non-fatal.
+  if (auto path = env::ReadString(env::Knob::kMetricsOut)) {
+    EnableMetricsOutput(*path);
+  }
+  if (auto path = env::ReadString(env::Knob::kTraceOut)) {
+    EnableTraceOutput(*path);
+  }
+  if (auto on = env::ReadBool(env::Knob::kRtrace)) rtrace::SetEnabled(*on);
+  if (auto path = env::ReadString(env::Knob::kAccessLog)) {
+    Status status = rtrace::SetAccessLogPath(*path);
+    if (status.ok()) {
+      rtrace::SetEnabled(true);  // a log with tracing off would stay empty
+      RegisterFlushAtExit();
+    } else {
+      EMBA_LOG(WARN) << "EMBA_ACCESS_LOG open failed: " << status;
+    }
+  }
+  if (auto port = env::ReadInt(env::Knob::kObsPort, 0, 65535)) {
+    Status status = StartObservabilityServer(static_cast<int>(*port));
+    if (!status.ok()) {
+      EMBA_LOG(WARN) << "EMBA_OBS_PORT server start failed: " << status;
     }
   }
 }
 
 void EnableMetricsOutput(const std::string& path) {
   if (path.empty()) return;
-  metrics::SetMetricsOutputPath(path);
+  {
+    std::lock_guard<std::mutex> lock(Outputs().mutex);
+    Outputs().metrics = path;
+  }
   metrics::SetEnabled(true);
   RegisterFlushAtExit();
 }
 
 void EnableTraceOutput(const std::string& path) {
   if (path.empty()) return;
-  trace::SetTraceOutputPath(path);
+  {
+    std::lock_guard<std::mutex> lock(Outputs().mutex);
+    Outputs().trace = path;
+  }
   trace::Start();
   RegisterFlushAtExit();
 }
 
 void FlushObservability() {
   SetHealthState(HealthState::kDraining);
-  Status metrics_status = metrics::FlushMetricsIfConfigured();
-  if (!metrics_status.ok()) {
-    EMBA_LOG(WARN) << "metrics flush failed: " << metrics_status;
+  std::string metrics_path, trace_path;
+  {
+    std::lock_guard<std::mutex> lock(Outputs().mutex);
+    metrics_path = Outputs().metrics;
+    trace_path = Outputs().trace;
   }
-  Status trace_status = trace::FlushTraceIfConfigured();
-  if (!trace_status.ok()) {
-    EMBA_LOG(WARN) << "trace flush failed: " << trace_status;
+  if (!metrics_path.empty()) {
+    Status status = metrics::DumpMetricsJson(metrics_path);
+    if (!status.ok()) EMBA_LOG(WARN) << "metrics flush failed: " << status;
+  }
+  if (!trace_path.empty()) {
+    Status status = trace::WriteJson(trace_path);
+    if (!status.ok()) EMBA_LOG(WARN) << "trace flush failed: " << status;
   }
   Status access_log_status = rtrace::FlushAccessLog();
   if (!access_log_status.ok()) {

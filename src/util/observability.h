@@ -25,7 +25,8 @@
 namespace emba {
 
 /// Applies EMBA_METRICS_OUT / EMBA_TRACE_OUT (enabling the respective
-/// subsystem when set) and EMBA_OBS_PORT (starting the observability
+/// subsystem when set), EMBA_RTRACE / EMBA_ACCESS_LOG (request tracing; a
+/// log implies tracing) and EMBA_OBS_PORT (starting the observability
 /// server), and registers FlushObservability with atexit, so every exit
 /// path — including Fail()-style early returns — still writes the
 /// configured files.

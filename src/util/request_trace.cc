@@ -1,7 +1,6 @@
 #include "util/request_trace.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -9,7 +8,6 @@
 #include <unordered_map>
 
 #include "util/json.h"
-#include "util/logging.h"
 #include "util/metrics.h"
 
 namespace emba {
@@ -197,40 +195,6 @@ const char* StageName(Stage stage) {
 
 void SetEnabled(bool enabled) {
   internal::g_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-void InitRequestTraceFromEnv() {
-  if (const char* env = std::getenv("EMBA_RTRACE")) {
-    const std::string v = env;
-    if (v == "on" || v == "1" || v == "true") {
-      SetEnabled(true);
-    } else if (v == "off" || v == "0" || v == "false" || v.empty()) {
-      SetEnabled(false);
-    } else {
-      EMBA_LOG(WARN) << "ignoring bad EMBA_RTRACE value: " << v;
-    }
-  }
-  if (const char* env = std::getenv("EMBA_ACCESS_LOG")) {
-    if (env[0] != '\0') {
-      Status status = SetAccessLogPath(env);
-      if (status.ok()) {
-        SetEnabled(true);  // a log with tracing off would stay empty
-      } else {
-        EMBA_LOG(WARN) << "EMBA_ACCESS_LOG open failed: " << status;
-      }
-    }
-  }
-  if (const char* env = std::getenv("EMBA_RPCZ_K")) {
-    if (env[0] != '\0') {
-      char* end = nullptr;
-      const long k = std::strtol(env, &end, 10);
-      if (end == env || *end != '\0' || k < 1 || k > 4096) {
-        EMBA_LOG(WARN) << "ignoring bad EMBA_RPCZ_K value: " << env;
-      } else {
-        SetSlowestK(static_cast<size_t>(k));
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -515,12 +479,6 @@ Status SetAccessLogPath(const std::string& path) {
   log.tokens = std::max(1.0, log.rate);
   log.last_refill = Clock::now();
   return Status::OK();
-}
-
-std::string AccessLogPath() {
-  AccessLog& log = Log();
-  std::lock_guard<std::mutex> lock(log.mutex);
-  return log.path;
 }
 
 void SetAccessLogRateLimit(double lines_per_second) {

@@ -55,10 +55,6 @@ inline bool Enabled() {
 }
 void SetEnabled(bool enabled);
 
-/// Reads EMBA_RTRACE (on/1/true enables), EMBA_ACCESS_LOG (a path; implies
-/// enabling) and EMBA_RPCZ_K (slowest-K reservoir size). Malformed values
-/// warn and are ignored.
-void InitRequestTraceFromEnv();
 
 // ---------------------------------------------------------------------------
 // Stages
@@ -228,7 +224,6 @@ void ResetForTest();
 /// Enables the access log at `path` (append; "" disables + closes). Lines
 /// are written by FinishRequest under a rate limit and flushed per line.
 Status SetAccessLogPath(const std::string& path);
-std::string AccessLogPath();
 
 /// Token-bucket limit on access-log lines (default 500/s; burst = 1 s of
 /// tokens). Over-limit requests count serve.access_log.dropped instead.

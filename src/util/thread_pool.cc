@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 
+#include "util/env.h"
 #include "util/metrics.h"
 #include "util/status.h"
 #include "util/trace.h"
@@ -178,10 +178,8 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
 }
 
 int DefaultThreadCount() {
-  if (const char* env = std::getenv("EMBA_NUM_THREADS")) {
-    char* end = nullptr;
-    const long n = std::strtol(env, &end, 10);
-    if (end != env && n > 0) return static_cast<int>(n);
+  if (auto n = env::ReadInt(env::Knob::kNumThreads, 1, kMaxThreads)) {
+    return static_cast<int>(*n);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

@@ -81,7 +81,10 @@ class ThreadPool {
   bool shutdown_ = false;
 };
 
-/// EMBA_NUM_THREADS when set to a positive integer, else
+/// Upper bound of EMBA_NUM_THREADS and of emba_cli's --threads.
+inline constexpr int kMaxThreads = 1024;
+
+/// EMBA_NUM_THREADS when set to an integer in [1, kMaxThreads], else
 /// hardware_concurrency(), floored at 1.
 int DefaultThreadCount();
 

@@ -1,7 +1,6 @@
 #include "util/trace.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -77,8 +76,6 @@ struct Global {
   // recording threads can read it without taking the registry mutex.
   std::atomic<int64_t> epoch_ns{0};
   std::atomic<uint64_t> dropped{0};
-  std::mutex path_mutex;
-  std::string output_path;
 };
 
 Clock::time_point Origin() {
@@ -308,33 +305,6 @@ uint64_t DroppedEventCount() {
 }
 
 size_t RingCapacityPerThread() { return kRingCapacity; }
-
-void SetTraceOutputPath(const std::string& path) {
-  Global& g = G();
-  std::lock_guard<std::mutex> lock(g.path_mutex);
-  g.output_path = path;
-}
-
-std::string TraceOutputPath() {
-  Global& g = G();
-  std::lock_guard<std::mutex> lock(g.path_mutex);
-  return g.output_path;
-}
-
-void InitTraceFromEnv() {
-  if (const char* env = std::getenv("EMBA_TRACE_OUT")) {
-    if (env[0] != '\0') {
-      SetTraceOutputPath(env);
-      Start();
-    }
-  }
-}
-
-Status FlushTraceIfConfigured() {
-  std::string path = TraceOutputPath();
-  if (path.empty()) return Status::OK();
-  return WriteJson(path);
-}
 
 }  // namespace trace
 }  // namespace emba

@@ -143,18 +143,6 @@ uint64_t DroppedEventCount();
 /// so tests can drive a ring past it without hard-coding the constant.
 size_t RingCapacityPerThread();
 
-/// Where FlushTraceIfConfigured() writes; empty = nowhere.
-void SetTraceOutputPath(const std::string& path);
-std::string TraceOutputPath();
-
-/// Reads EMBA_TRACE_OUT; when set, configures the output path and Start()s
-/// the tracer.
-void InitTraceFromEnv();
-
-/// Writes to the configured path, if any. OK (and a no-op) when
-/// unconfigured.
-Status FlushTraceIfConfigured();
-
 /// RAII span. Construction samples the clock only when tracing is enabled;
 /// the span is recorded at destruction with the enablement state sampled at
 /// construction (a span straddling Stop() is still recorded). Accepts up to

@@ -33,7 +33,7 @@ namespace {
 // (int8_test.cc).
 class ForceInt8Off : public ::testing::Environment {
  public:
-  void SetUp() override { int8::ForceModeForTest(int8::Mode::kOff); }
+  void SetUp() override { int8::SetRuntimeMode(int8::Mode::kOff); }
   void TearDown() override { int8::ResetMode(); }
 };
 const auto* const kForceInt8Off =
@@ -203,9 +203,6 @@ TEST(InferenceFastPath, BatchForwardOutputsAreHeapBackedAndBitIdentical) {
 }
 
 TEST(InferenceFastPath, SteadyStateScoringAllocatesNothing) {
-  if (ActivationArena::DisabledByEnv()) {
-    GTEST_SKIP() << "EMBA_ARENA=off: heap tensors are expected";
-  }
   auto model = MakeEvalModel("emba");
   const auto& samples = SamplesFor("emba");
   ASSERT_GE(samples.size(), 4u);
@@ -238,9 +235,6 @@ TEST(InferenceFastPath, SteadyStateScoringAllocatesNothing) {
 }
 
 TEST(InferenceFastPath, HeapFallbackOnTinyArenaStaysBitIdentical) {
-  if (ActivationArena::DisabledByEnv()) {
-    GTEST_SKIP() << "EMBA_ARENA=off: fallback counters do not move";
-  }
   auto model = MakeEvalModel("emba");
   const core::PairSample& sample = SamplesFor("emba")[0];
   const double reference = core::MatchProbability(*model, sample);

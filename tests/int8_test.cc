@@ -87,36 +87,31 @@ std::vector<core::PairSample> TestSlice(size_t n) {
 
 TEST(Int8ModeTest, EligibilityFollowsModeAndShape) {
   Int8EnvGuard guard;
-  int8::ForceModeForTest(int8::Mode::kOff);
+  int8::SetRuntimeMode(int8::Mode::kOff);
   EXPECT_FALSE(int8::Eligible(1, 64, 64));
 
-  int8::ForceModeForTest(int8::Mode::kOn);
+  int8::SetRuntimeMode(int8::Mode::kOn);
   EXPECT_TRUE(int8::Eligible(1, 1, 1));
   EXPECT_TRUE(int8::Eligible(8, 16, 16));
   EXPECT_FALSE(int8::Eligible(0, 16, 16));  // empty activation block
   // k beyond the i32 accumulator overflow cap (127·127·k < 2³¹).
   EXPECT_FALSE(int8::Eligible(1, 200000, 8));
-
-  int8::ForceModeForTest(int8::Mode::kAuto);
-  EXPECT_FALSE(int8::Eligible(8, 16, 16));  // 256 weight elems: too small
-  EXPECT_TRUE(int8::Eligible(1, 64, 64));   // exactly kAutoMinWeightElems
 }
 
 TEST(Int8ModeTest, EnvResolutionAndOverride) {
   Int8EnvGuard guard;
-  ASSERT_EQ(setenv("EMBA_INT8", "auto", 1), 0);
+  ASSERT_EQ(setenv("EMBA_INT8", "on", 1), 0);
   int8::ResetMode();
-  EXPECT_EQ(int8::ActiveMode(), int8::Mode::kAuto);
-  // A runtime override (the --int8 flag) beats the environment.
-  int8::SetRuntimeMode(int8::Mode::kOn);
   EXPECT_EQ(int8::ActiveMode(), int8::Mode::kOn);
+  // A runtime override (the --int8 flag) beats the environment.
+  int8::SetRuntimeMode(int8::Mode::kOff);
+  EXPECT_EQ(int8::ActiveMode(), int8::Mode::kOff);
   ASSERT_EQ(setenv("EMBA_INT8", "definitely-not-a-mode", 1), 0);
   int8::ResetMode();
   EXPECT_EQ(int8::ActiveMode(), int8::Mode::kOff);  // unrecognized → off
   ASSERT_EQ(unsetenv("EMBA_INT8"), 0);
   int8::ResetMode();
   EXPECT_EQ(int8::ActiveMode(), int8::Mode::kOff);  // unset → off
-  EXPECT_STREQ(int8::ModeName(int8::Mode::kAuto), "auto");
 }
 
 TEST(Int8DeterminismTest, ScalarAndAvx2BackendsBitIdentical) {
@@ -124,7 +119,7 @@ TEST(Int8DeterminismTest, ScalarAndAvx2BackendsBitIdentical) {
     GTEST_SKIP() << "AVX2 backend not available on this build or CPU";
   }
   Int8EnvGuard guard;
-  int8::ForceModeForTest(int8::Mode::kOn);
+  int8::SetRuntimeMode(int8::Mode::kOn);
   auto model = MakeEvalModel();
   const auto samples = TestSlice(8);
 
@@ -147,7 +142,7 @@ TEST(Int8DeterminismTest, ScalarAndAvx2BackendsBitIdentical) {
 
 TEST(Int8DeterminismTest, ThreadCountInvariant) {
   Int8EnvGuard guard;
-  int8::ForceModeForTest(int8::Mode::kOn);
+  int8::SetRuntimeMode(int8::Mode::kOn);
   auto model = MakeEvalModel();
   const auto samples = TestSlice(16);
 
@@ -164,7 +159,7 @@ TEST(Int8DeterminismTest, ThreadCountInvariant) {
 
 TEST(Int8CacheTest, WeightCacheInvalidatedByOptimizerStepAndLoad) {
   Int8EnvGuard guard;
-  int8::ForceModeForTest(int8::Mode::kOn);
+  int8::SetRuntimeMode(int8::Mode::kOn);
   auto model = MakeEvalModel();
   const auto samples = TestSlice(2);
 
@@ -214,7 +209,7 @@ TEST(Int8CacheTest, WeightCacheInvalidatedByOptimizerStepAndLoad) {
 // cache survives the former but never the latter.
 TEST(Int8CacheTest, EvalAfterBestEpochRestoreUsesRestoredWeights) {
   Int8EnvGuard guard;
-  int8::ForceModeForTest(int8::Mode::kOn);
+  int8::SetRuntimeMode(int8::Mode::kOn);
   World& w = SharedWorld();
   core::ModelBudget budget;
   budget.dim = 16;
@@ -253,7 +248,7 @@ TEST(Int8CacheTest, EvalAfterBestEpochRestoreUsesRestoredWeights) {
 
 TEST(Int8ArenaTest, TinyArenaHeapFallbackBitIdentical) {
   Int8EnvGuard guard;
-  int8::ForceModeForTest(int8::Mode::kOn);
+  int8::SetRuntimeMode(int8::Mode::kOn);
   auto model = MakeEvalModel();
   const auto samples = TestSlice(4);
 
@@ -272,7 +267,7 @@ TEST(Int8ArenaTest, TinyArenaHeapFallbackBitIdentical) {
 
 TEST(Int8ArenaTest, SteadyStateScoringAllocatesNothing) {
   Int8EnvGuard guard;
-  int8::ForceModeForTest(int8::Mode::kOn);
+  int8::SetRuntimeMode(int8::Mode::kOn);
   auto model = MakeEvalModel();
   const auto samples = TestSlice(4);
 
@@ -286,13 +281,8 @@ TEST(Int8ArenaTest, SteadyStateScoringAllocatesNothing) {
   for (int rep = 0; rep < 5; ++rep) {
     for (const auto& s : samples) core::MatchProbability(*model, s);
   }
-  // Zero-heap-alloc steady state requires the arena: with EMBA_ARENA=off
-  // every activation tensor heap-allocates by design, so only the
-  // cache-stability half of the invariant applies there.
-  if (!ActivationArena::DisabledByEnv()) {
-    EXPECT_EQ(TensorHeapAllocCount(), heap_allocs)
-        << "warm int8 scoring allocated tensors on the heap";
-  }
+  EXPECT_EQ(TensorHeapAllocCount(), heap_allocs)
+      << "warm int8 scoring allocated tensors on the heap";
   EXPECT_EQ(int8::WeightCacheBuilds(), builds)
       << "warm int8 scoring rebuilt weight caches";
 }
@@ -329,7 +319,7 @@ TEST(ZeroElementTest, EmptyBatchScoringIsANoOp) {
   Int8EnvGuard guard;
   auto model = MakeEvalModel();
   for (int8::Mode mode : {int8::Mode::kOff, int8::Mode::kOn}) {
-    int8::ForceModeForTest(mode);
+    int8::SetRuntimeMode(mode);
     EXPECT_TRUE(core::BatchForward(*model, {}).empty());
     EXPECT_TRUE(core::BatchMatchProbabilities(*model, {}).empty());
   }
@@ -339,7 +329,7 @@ TEST(ZeroElementTest, EmptyBatchScoringIsANoOp) {
 
 TEST(Int8ToleranceTest, F1WithinContractOfFp32) {
   Int8EnvGuard guard;
-  int8::ForceModeForTest(int8::Mode::kOff);
+  int8::SetRuntimeMode(int8::Mode::kOff);
 
   // Train a small model to genuine class separation; random-init logits
   // cluster near 0.5 where threshold flips are noise, not signal.
@@ -370,7 +360,7 @@ TEST(Int8ToleranceTest, F1WithinContractOfFp32) {
   (*model)->SetTraining(false);
 
   auto f1_at = [&](int8::Mode mode) {
-    int8::ForceModeForTest(mode);
+    int8::SetRuntimeMode(mode);
     const auto probs = core::BatchMatchProbabilities(**model, encoded.test);
     std::vector<bool> y_true, y_pred;
     y_true.reserve(probs.size());

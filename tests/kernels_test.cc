@@ -112,21 +112,6 @@ TEST(KernelsDispatchTest, BackendNames) {
   EXPECT_STREQ(kernels::BackendName(kernels::Backend::kAvx2), "avx2");
 }
 
-TEST(KernelsDispatchTest, EnvValueParsing) {
-  EXPECT_TRUE(kernels::SimdDisabledByEnvValue("off"));
-  EXPECT_TRUE(kernels::SimdDisabledByEnvValue("OFF"));
-  EXPECT_TRUE(kernels::SimdDisabledByEnvValue("Off"));
-  EXPECT_TRUE(kernels::SimdDisabledByEnvValue("0"));
-  EXPECT_TRUE(kernels::SimdDisabledByEnvValue("scalar"));
-  EXPECT_TRUE(kernels::SimdDisabledByEnvValue("SCALAR"));
-  EXPECT_TRUE(kernels::SimdDisabledByEnvValue("false"));
-  EXPECT_FALSE(kernels::SimdDisabledByEnvValue("on"));
-  EXPECT_FALSE(kernels::SimdDisabledByEnvValue("1"));
-  EXPECT_FALSE(kernels::SimdDisabledByEnvValue("avx2"));
-  EXPECT_FALSE(kernels::SimdDisabledByEnvValue(""));
-  EXPECT_FALSE(kernels::SimdDisabledByEnvValue(nullptr));
-}
-
 TEST(KernelsDispatchTest, EnvOverrideForcesScalar) {
   KernelEnvGuard guard;
   setenv("EMBA_SIMD", "off", 1);
@@ -137,6 +122,13 @@ TEST(KernelsDispatchTest, EnvOverrideForcesScalar) {
   // Auto resolution: AVX2 exactly when the build + CPU provide it.
   EXPECT_EQ(kernels::ActiveBackend() == kernels::Backend::kAvx2,
             Avx2Available());
+  // EMBA_SIMD is a bool: the retired spelling "scalar" is malformed, so it
+  // warns and dispatches as if unset.
+  setenv("EMBA_SIMD", "scalar", 1);
+  kernels::ResetBackend();
+  EXPECT_EQ(kernels::ActiveBackend() == kernels::Backend::kAvx2,
+            Avx2Available());
+  unsetenv("EMBA_SIMD");
 }
 
 TEST(KernelsDispatchTest, ForceAndReset) {

@@ -28,6 +28,7 @@
 #include "core/registry.h"
 #include "core/trainer.h"
 #include "data/generator.h"
+#include "util/env.h"
 #include "util/http_server.h"
 #include "util/json.h"
 #include "util/metrics.h"
@@ -245,7 +246,6 @@ class ObsServerTest : public ::testing::Test {
     rtrace::SetEnabled(false);
     ASSERT_TRUE(rtrace::SetAccessLogPath("").ok());
     rtrace::ResetForTest();
-    metrics::SetMetricsOutputPath("");
   }
 };
 
@@ -501,15 +501,23 @@ TEST_F(ObsServerTest, BuildzReportsProvenanceAndEnvKnobs) {
   EXPECT_NE(buildz->body.find("\"start_time_unix_seconds\": "),
             std::string::npos);
   EXPECT_NE(buildz->body.find("\"uptime_seconds\": "), std::string::npos);
-  // Every knob the codebase reads is reported, set or not.
-  for (const char* knob :
-       {"EMBA_SIMD", "EMBA_INT8", "EMBA_RTRACE", "EMBA_ACCESS_LOG",
-        "EMBA_RPCZ_K", "EMBA_NUM_THREADS", "EMBA_LOG_LEVEL",
-        "EMBA_BENCH_SCALE", "EMBA_BENCH_ROWS"}) {
-    EXPECT_NE(buildz->body.find("\"" + std::string(knob) + "\": "),
-              std::string::npos)
-        << knob << " missing from /buildz";
+  // The env keys are exactly the reader's knob list (util/env.h), set or
+  // not: a knob cannot be read without being reported.
+  auto parsed = json::Parse(buildz->body);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const json::Value* env_section = parsed->Find("env");
+  ASSERT_NE(env_section, nullptr);
+  ASSERT_TRUE(env_section->is_object());
+  std::vector<std::string> reported;
+  for (const auto& entry : env_section->AsObject()) {
+    reported.push_back(entry.first);
   }
+  std::vector<std::string> knobs;
+  for (int i = 0; i < static_cast<int>(env::Knob::kCount); ++i) {
+    knobs.push_back(env::Name(static_cast<env::Knob>(i)));
+  }
+  std::sort(knobs.begin(), knobs.end());  // json::Object is a sorted map
+  EXPECT_EQ(reported, knobs);
 }
 
 TEST_F(ObsServerTest, RpczServesJsonWhenIdle) {

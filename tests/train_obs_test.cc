@@ -469,8 +469,8 @@ TEST_F(TrainObsTest, InjectedInfGradientTripsNanAbort) {
                                        dataset.num_id_classes, &rng);
         EMBA_CHECK(model.ok());
         core::TrainConfig config = TinyConfig(&rng);
-        config.nan_abort = true;
         config.inject_inf_grad_at_step = 1;
+        train_obs::SetNanAbort(true);
         core::Trainer trainer(model->get(), &dataset, config);
         trainer.Run();
       },

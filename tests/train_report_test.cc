@@ -116,6 +116,10 @@ TEST(TrainReportTest, DiffExitCodes) {
 
   EXPECT_EQ(RunReport("").exit_code, 2);
   EXPECT_EQ(RunReport(base + " --bogus").exit_code, 2);
+  // Tolerances parse strictly: malformed or negative text is a usage error.
+  EXPECT_EQ(RunReport(base + " " + same + " --f1-tol abc").exit_code, 2);
+  EXPECT_EQ(RunReport(base + " " + same + " --loss-tol-pct 5x").exit_code, 2);
+  EXPECT_EQ(RunReport(base + " " + same + " --f1-tol -0.1").exit_code, 2);
   EXPECT_EQ(RunReport(base + " " + same + " " + worse).exit_code, 2);
   for (const std::string& path : {base, same, worse}) {
     std::filesystem::remove(path);

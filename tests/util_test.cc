@@ -4,10 +4,12 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <set>
 
 #include "util/bench_scale.h"
 #include "util/csv.h"
+#include "util/env.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/strings.h"
@@ -251,6 +253,156 @@ TEST(BenchScaleTest, FullMode) {
   EXPECT_TRUE(scale.full);
   EXPECT_GT(scale.seeds, 2);
   unsetenv("EMBA_BENCH_SCALE");
+}
+
+// ---------- env knob reader (util/env.h) ----------
+
+// Sets one knob for the test's lifetime and restores its prior value.
+class ScopedKnob {
+ public:
+  ScopedKnob(env::Knob knob, const char* value) : name_(env::Name(knob)) {
+    if (const char* prior = std::getenv(name_)) prior_ = prior;
+    setenv(name_, value, 1);
+  }
+  ~ScopedKnob() {
+    if (prior_) {
+      setenv(name_, prior_->c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> prior_;
+};
+
+TEST(EnvReaderTest, ParseBoolSpellings) {
+  const struct {
+    const char* text;
+    std::optional<bool> want;
+  } cases[] = {
+      {"on", true},     {"ON", true},      {"On", true},    {"1", true},
+      {"true", true},   {"TRUE", true},    {"True", true},  {"off", false},
+      {"OFF", false},   {"Off", false},    {"0", false},    {"false", false},
+      {"FALSE", false}, {"False", false},
+      // Malformed, including the retired EMBA_SIMD spellings.
+      {"bogus", std::nullopt}, {"scalar", std::nullopt},
+      {"SCALAR", std::nullopt}, {"avx2", std::nullopt}, {"", std::nullopt},
+      {" on", std::nullopt},  {"on ", std::nullopt},   {"2", std::nullopt},
+      {"yes", std::nullopt},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(env::ParseBool(c.text), c.want) << '"' << c.text << '"';
+  }
+}
+
+TEST(EnvReaderTest, ParseIntIsWholeStringAndBounded) {
+  const struct {
+    const char* text;
+    std::optional<int64_t> want;
+  } cases[] = {
+      {"1", 1},
+      {"3", 3},
+      {"1024", 1024},
+      {"0", std::nullopt},     // below the bound
+      {"-1", std::nullopt},    // below the bound
+      {"1025", std::nullopt},  // above the bound
+      {"2abc", std::nullopt},
+      {"3x", std::nullopt},
+      {"abc", std::nullopt},
+      {"", std::nullopt},
+      {" 3", std::nullopt},
+      {"3 ", std::nullopt},
+      {"+3", std::nullopt},
+      {"1.5", std::nullopt},
+      {"99999999999999999999", std::nullopt},  // overflows int64
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(env::ParseInt(c.text, 1, 1024), c.want) << '"' << c.text << '"';
+  }
+  EXPECT_EQ(env::ParseInt("-5", -10, 10), -5);
+}
+
+TEST(EnvReaderTest, ParseDoubleIsWholeStringAndBounded) {
+  const struct {
+    const char* text;
+    std::optional<double> want;
+  } cases[] = {
+      {"0", 0.0},
+      {"0.5", 0.5},
+      {"1", 1.0},
+      {"1e-1", 0.1},
+      {"1.5", std::nullopt},   // above the bound
+      {"-0.1", std::nullopt},  // below the bound
+      {"abc", std::nullopt},
+      {"0.5x", std::nullopt},
+      {"", std::nullopt},
+      {"nan", std::nullopt},
+      {"inf", std::nullopt},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(env::ParseDouble(c.text, 0.0, 1.0), c.want)
+        << '"' << c.text << '"';
+  }
+}
+
+TEST(EnvReaderTest, ParseChoiceIgnoresCase) {
+  EXPECT_EQ(env::ParseChoice("warn", {"debug", "info", "warn"}), 2u);
+  EXPECT_EQ(env::ParseChoice("WARN", {"debug", "info", "warn"}), 2u);
+  EXPECT_EQ(env::ParseChoice("Debug", {"debug", "info", "warn"}), 0u);
+  EXPECT_EQ(env::ParseChoice("verbose", {"debug", "info", "warn"}),
+            std::nullopt);
+  EXPECT_EQ(env::ParseChoice("", {"debug", "info", "warn"}), std::nullopt);
+}
+
+TEST(EnvReaderTest, EveryKnobHasOneDistinctName) {
+  std::set<std::string> names;
+  for (int i = 0; i < static_cast<int>(env::Knob::kCount); ++i) {
+    const std::string name = env::Name(static_cast<env::Knob>(i));
+    EXPECT_TRUE(StartsWith(name, "EMBA_")) << name;
+    names.insert(name);
+  }
+  EXPECT_EQ(names.size(), 14u);
+}
+
+TEST(EnvReaderTest, UnsetAndEmptyReadAsNotSet) {
+  ScopedKnob threads(env::Knob::kNumThreads, "");
+  EXPECT_EQ(env::ReadInt(env::Knob::kNumThreads, 1, 1024), std::nullopt);
+  unsetenv("EMBA_NUM_THREADS");
+  EXPECT_EQ(env::ReadInt(env::Knob::kNumThreads, 1, 1024), std::nullopt);
+  ScopedKnob path(env::Knob::kTraceOut, "");
+  EXPECT_EQ(env::ReadString(env::Knob::kTraceOut), std::nullopt);
+}
+
+TEST(EnvReaderTest, ReadersParseWellFormedValues) {
+  ScopedKnob threads(env::Knob::kNumThreads, "8");
+  EXPECT_EQ(env::ReadInt(env::Knob::kNumThreads, 1, 1024), 8);
+  ScopedKnob rtrace(env::Knob::kRtrace, "On");
+  EXPECT_EQ(env::ReadBool(env::Knob::kRtrace), true);
+  ScopedKnob level(env::Knob::kLogLevel, "warn");
+  EXPECT_EQ(env::ReadChoice(env::Knob::kLogLevel,
+                            {"debug", "info", "warn", "error"}),
+            2u);
+  ScopedKnob path(env::Knob::kTraceOut, "/tmp/x.json");
+  EXPECT_EQ(env::ReadString(env::Knob::kTraceOut), "/tmp/x.json");
+}
+
+TEST(EnvReaderTest, MalformedValuesAreIgnoredWithOneWarning) {
+  for (const char* bad : {"2abc", "0", "1025"}) {
+    ScopedKnob threads(env::Knob::kNumThreads, bad);
+    EXPECT_EQ(env::ReadInt(env::Knob::kNumThreads, 1, 1024), std::nullopt)
+        << bad;
+  }
+  ScopedKnob attn(env::Knob::kAttnStats, "bogus");
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(env::ReadBool(env::Knob::kAttnStats), std::nullopt);
+  EXPECT_EQ(env::ReadBool(env::Knob::kAttnStats), std::nullopt);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  const size_t first = log.find("EMBA_ATTN_STATS=bogus");
+  ASSERT_NE(first, std::string::npos) << log;
+  EXPECT_EQ(log.find("EMBA_ATTN_STATS", first + 1), std::string::npos)
+      << "warned twice:\n" << log;
 }
 
 }  // namespace

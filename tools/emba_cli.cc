@@ -16,14 +16,17 @@
 // SIGTERM or Ctrl-C drains gracefully: in-flight requests finish, then the
 // process exits.
 //
+// Numeric flag values must parse in full and fall inside the flag's range
+// (util/env.h parsers); anything else exits 1 with an error naming the flag.
+//
 // <prefix> refers to CSVs written by `generate` (prefix_train.csv, ...).
 // The tokenizer is retrained from prefix_train.csv on every invocation so
 // the vocabulary is reproducible from the data alone.
 //
 // --threads N sizes the worker pool used for batched evaluation scoring and
-// the parallel tensor kernels; it overrides EMBA_NUM_THREADS, which in turn
-// overrides the hardware_concurrency default. --threads 1 reproduces the
-// single-threaded behaviour bit for bit.
+// the parallel tensor kernels (1-1024); it overrides EMBA_NUM_THREADS, which
+// in turn overrides the hardware_concurrency default. --threads 1
+// reproduces the single-threaded behaviour bit for bit.
 //
 // --checkpoint-every N writes a crash-safe training checkpoint to
 // <out.bin>.ckpt every N epochs (and at the final epoch); --resume picks an
@@ -51,8 +54,8 @@
 // EMBA_NAN_ABORT, EMBA_ATTN_STATS.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -64,9 +67,11 @@
 #include "explain/lime.h"
 #include "serve/service.h"
 #include "train_obs/train_obs.h"
+#include "util/env.h"
 #include "util/logging.h"
 #include "util/observability.h"
 #include "util/request_trace.h"
+#include "util/strings.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -87,8 +92,8 @@ int Usage() {
                "       --serve-obs <port>, --rtrace, --access-log <path>;\n"
                "       env: EMBA_NUM_THREADS, EMBA_INT8, EMBA_METRICS_OUT, "
                "EMBA_TRACE_OUT,\n"
-               "       EMBA_OBS_PORT, EMBA_RTRACE, EMBA_ACCESS_LOG, "
-               "EMBA_RPCZ_K):\n"
+               "       EMBA_OBS_PORT, EMBA_RTRACE, EMBA_ACCESS_LOG; a "
+               "malformed or out-of-range number exits 1):\n"
                "  emba_cli generate <dataset> <out_prefix>\n"
                "  emba_cli train <prefix> <model> <out.bin> "
                "[--checkpoint-every N] [--checkpoint-keep-last K] [--resume]\n"
@@ -198,15 +203,13 @@ int CmdGenerate(const std::string& dataset_name, const std::string& prefix) {
 
 int CmdTrain(const std::string& prefix, const std::string& model_name,
              const std::string& out_path, int checkpoint_every,
-             int checkpoint_keep_last, bool resume, bool nan_abort,
-             int max_epochs) {
+             int checkpoint_keep_last, bool resume, int max_epochs) {
   auto loaded = PrepareModel(prefix, model_name, "");
   if (!loaded.ok()) return Fail(loaded.status().ToString());
   core::TrainConfig config;
   config.max_epochs = max_epochs > 0 ? max_epochs : 10;
   config.learning_rate = core::DefaultLearningRate(model_name);
   config.verbose = true;
-  config.nan_abort = nan_abort;
   if (checkpoint_every > 0 || checkpoint_keep_last > 0 || resume) {
     config.checkpoint_path = out_path + ".ckpt";
     config.checkpoint_every = checkpoint_every > 0 ? checkpoint_every : 1;
@@ -283,13 +286,23 @@ int CmdExplain(const std::string& prefix, const std::string& model_name,
 }
 
 struct ServeFlags {
-  int port = 8080;
-  int batch_max = 16;
-  long batch_deadline_us = 2000;
-  int queue_max = 256;
-  int http_workers = 4;
+  int64_t port = 8080;
+  int64_t batch_max = 16;
+  int64_t batch_deadline_us = 2000;
+  int64_t queue_max = 256;
+  int64_t http_workers = 4;
   double threshold = 0.5;
-  int top_k = 10;
+  int64_t top_k = 10;
+};
+
+// A numeric flag: its value must parse in full and fall in [lo, hi], or the
+// CLI exits 1 naming the flag.
+struct IntFlag {
+  const char* name;
+  int64_t lo;
+  int64_t hi;
+  int64_t* value;
+  bool* seen;  ///< the subcommand-only group the flag belongs to, if any
 };
 
 int CmdServe(const std::string& prefix, const std::string& model_name,
@@ -318,13 +331,13 @@ int CmdServe(const std::string& prefix, const std::string& model_name,
   config.batcher.max_batch = static_cast<size_t>(flags.batch_max);
   config.batcher.batch_deadline_us = flags.batch_deadline_us;
   config.batcher.max_queue = static_cast<size_t>(flags.queue_max);
-  config.http_workers = flags.http_workers;
+  config.http_workers = static_cast<int>(flags.http_workers);
   config.match_threshold = flags.threshold;
-  config.dedupe_top_k = flags.top_k;
+  config.dedupe_top_k = static_cast<int>(flags.top_k);
   serve::MatchService service(loaded->model.get(), &loaded->encoded,
                               std::move(catalog), config);
   serve::InstallDrainSignalHandlers();
-  Status status = service.Start(flags.port);
+  Status status = service.Start(static_cast<int>(flags.port));
   if (!status.ok()) return Fail(status.ToString());
   std::printf("emba_serve on port %d, catalog %zu records "
               "(SIGTERM/Ctrl-C drains and exits)\n",
@@ -346,108 +359,77 @@ int main(int argc, char** argv) {
   // subcommand, not just `serve` (which registers again, idempotently).
   serve::RegisterBuildzProviders();
   int kept = 1;
-  int checkpoint_every = 0;
-  int checkpoint_keep_last = 0;
+  int64_t threads = 0;    // 0: EMBA_NUM_THREADS, else the core count
+  int64_t obs_port = -1;  // -1: no observability server from the flags
+  int64_t checkpoint_every = 0;
+  int64_t checkpoint_keep_last = 0;
   bool resume = false;
-  bool nan_abort = false;
-  int max_epochs = 0;
+  int64_t max_epochs = 0;
   bool train_obs_flags_seen = false;
   ServeFlags serve_flags;
   bool serve_flags_seen = false;
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  const IntFlag int_flags[] = {
+      {"--threads", 1, kMaxThreads, &threads, nullptr},
+      {"--serve-obs", 0, 65535, &obs_port, nullptr},
+      {"--checkpoint-every", 1, kIntMax, &checkpoint_every, nullptr},
+      {"--checkpoint-keep-last", 1, kIntMax, &checkpoint_keep_last, nullptr},
+      {"--max-epochs", 1, kIntMax, &max_epochs, &train_obs_flags_seen},
+      {"--port", 0, 65535, &serve_flags.port, &serve_flags_seen},
+      {"--batch-max", 1, kIntMax, &serve_flags.batch_max, &serve_flags_seen},
+      {"--batch-deadline-us", 0, kIntMax, &serve_flags.batch_deadline_us,
+       &serve_flags_seen},
+      {"--queue-max", 1, kIntMax, &serve_flags.queue_max, &serve_flags_seen},
+      {"--http-workers", 1, kMaxThreads, &serve_flags.http_workers,
+       &serve_flags_seen},
+      {"--top-k", 1, kIntMax, &serve_flags.top_k, &serve_flags_seen},
+  };
   for (int a = 1; a < argc; ++a) {
-    if (std::strcmp(argv[a], "--threads") == 0 && a + 1 < argc) {
-      const int threads = std::atoi(argv[++a]);
-      if (threads < 1) return Fail("--threads requires a positive integer");
-      SetGlobalThreads(threads);
+    const IntFlag* int_flag = nullptr;
+    for (const IntFlag& flag : int_flags) {
+      if (std::strcmp(argv[a], flag.name) == 0) int_flag = &flag;
+    }
+    if (int_flag != nullptr && a + 1 < argc) {
+      const char* text = argv[++a];
+      const auto value = env::ParseInt(text, int_flag->lo, int_flag->hi);
+      if (!value) {
+        return Fail(StrFormat(
+            "%s requires an integer in [%lld, %lld], got '%s'", int_flag->name,
+            static_cast<long long>(int_flag->lo),
+            static_cast<long long>(int_flag->hi), text));
+      }
+      *int_flag->value = *value;
+      if (int_flag->seen != nullptr) *int_flag->seen = true;
+    } else if (std::strcmp(argv[a], "--threshold") == 0 && a + 1 < argc) {
+      const char* text = argv[++a];
+      const auto value = env::ParseDouble(text, 0.0, 1.0);
+      if (!value) {
+        return Fail(StrFormat(
+            "--threshold requires a probability in [0, 1], got '%s'", text));
+      }
+      serve_flags.threshold = *value;
+      serve_flags_seen = true;
     } else if (std::strcmp(argv[a], "--metrics-out") == 0 && a + 1 < argc) {
       EnableMetricsOutput(argv[++a]);
     } else if (std::strcmp(argv[a], "--trace-out") == 0 && a + 1 < argc) {
       EnableTraceOutput(argv[++a]);
-    } else if (std::strcmp(argv[a], "--serve-obs") == 0 && a + 1 < argc) {
-      const int port = std::atoi(argv[++a]);
-      if (port < 0 || port > 65535) {
-        return Fail("--serve-obs requires a port in [0, 65535]");
-      }
-      Status status = StartObservabilityServer(port);
-      if (!status.ok()) return Fail(status.ToString());
     } else if (std::strcmp(argv[a], "--rtrace") == 0) {
       rtrace::SetEnabled(true);
     } else if (std::strcmp(argv[a], "--access-log") == 0 && a + 1 < argc) {
       Status status = rtrace::SetAccessLogPath(argv[++a]);
       if (!status.ok()) return Fail(status.ToString());
       rtrace::SetEnabled(true);  // a configured log implies tracing
-    } else if (std::strcmp(argv[a], "--checkpoint-every") == 0 &&
-               a + 1 < argc) {
-      checkpoint_every = std::atoi(argv[++a]);
-      if (checkpoint_every < 1) {
-        return Fail("--checkpoint-every requires a positive integer");
-      }
-    } else if (std::strcmp(argv[a], "--checkpoint-keep-last") == 0 &&
-               a + 1 < argc) {
-      checkpoint_keep_last = std::atoi(argv[++a]);
-      if (checkpoint_keep_last < 1) {
-        return Fail("--checkpoint-keep-last requires a positive integer");
-      }
     } else if (std::strcmp(argv[a], "--resume") == 0) {
       resume = true;
     } else if (std::strcmp(argv[a], "--train-events") == 0 && a + 1 < argc) {
       train_obs::SetEventLogPath(argv[++a]);
       train_obs_flags_seen = true;
     } else if (std::strcmp(argv[a], "--nan-abort") == 0) {
-      nan_abort = true;
+      train_obs::SetNanAbort(true);
       train_obs_flags_seen = true;
     } else if (std::strcmp(argv[a], "--attn-stats") == 0) {
       train_obs::SetAttnStatsEnabled(true);
       train_obs_flags_seen = true;
-    } else if (std::strcmp(argv[a], "--max-epochs") == 0 && a + 1 < argc) {
-      max_epochs = std::atoi(argv[++a]);
-      train_obs_flags_seen = true;
-      if (max_epochs < 1) {
-        return Fail("--max-epochs requires a positive integer");
-      }
-    } else if (std::strcmp(argv[a], "--port") == 0 && a + 1 < argc) {
-      serve_flags.port = std::atoi(argv[++a]);
-      serve_flags_seen = true;
-      if (serve_flags.port < 0 || serve_flags.port > 65535) {
-        return Fail("--port requires a port in [0, 65535]");
-      }
-    } else if (std::strcmp(argv[a], "--batch-max") == 0 && a + 1 < argc) {
-      serve_flags.batch_max = std::atoi(argv[++a]);
-      serve_flags_seen = true;
-      if (serve_flags.batch_max < 1) {
-        return Fail("--batch-max requires a positive integer");
-      }
-    } else if (std::strcmp(argv[a], "--batch-deadline-us") == 0 &&
-               a + 1 < argc) {
-      serve_flags.batch_deadline_us = std::atol(argv[++a]);
-      serve_flags_seen = true;
-      if (serve_flags.batch_deadline_us < 0) {
-        return Fail("--batch-deadline-us requires a non-negative integer");
-      }
-    } else if (std::strcmp(argv[a], "--queue-max") == 0 && a + 1 < argc) {
-      serve_flags.queue_max = std::atoi(argv[++a]);
-      serve_flags_seen = true;
-      if (serve_flags.queue_max < 1) {
-        return Fail("--queue-max requires a positive integer");
-      }
-    } else if (std::strcmp(argv[a], "--http-workers") == 0 && a + 1 < argc) {
-      serve_flags.http_workers = std::atoi(argv[++a]);
-      serve_flags_seen = true;
-      if (serve_flags.http_workers < 1) {
-        return Fail("--http-workers requires a positive integer");
-      }
-    } else if (std::strcmp(argv[a], "--threshold") == 0 && a + 1 < argc) {
-      serve_flags.threshold = std::atof(argv[++a]);
-      serve_flags_seen = true;
-      if (serve_flags.threshold < 0.0 || serve_flags.threshold > 1.0) {
-        return Fail("--threshold requires a probability in [0, 1]");
-      }
-    } else if (std::strcmp(argv[a], "--top-k") == 0 && a + 1 < argc) {
-      serve_flags.top_k = std::atoi(argv[++a]);
-      serve_flags_seen = true;
-      if (serve_flags.top_k < 1) {
-        return Fail("--top-k requires a positive integer");
-      }
     } else if (std::strcmp(argv[a], "--int8") == 0) {
       // Global flag: quantized inference GEMMs (DESIGN.md §14). Overrides
       // EMBA_INT8; training math is unaffected (grad mode never quantizes).
@@ -475,10 +457,17 @@ int main(int argc, char** argv) {
         "--port/--batch-max/--batch-deadline-us/--queue-max/--http-workers/"
         "--threshold/--top-k are only valid with `serve`");
   }
+  if (threads > 0) SetGlobalThreads(static_cast<int>(threads));
+  if (obs_port >= 0) {
+    Status status = StartObservabilityServer(static_cast<int>(obs_port));
+    if (!status.ok()) return Fail(status.ToString());
+  }
   if (command == "generate" && argc == 4) return CmdGenerate(argv[2], argv[3]);
   if (command == "train" && argc == 5) {
-    return CmdTrain(argv[2], argv[3], argv[4], checkpoint_every,
-                    checkpoint_keep_last, resume, nan_abort, max_epochs);
+    return CmdTrain(argv[2], argv[3], argv[4],
+                    static_cast<int>(checkpoint_every),
+                    static_cast<int>(checkpoint_keep_last), resume,
+                    static_cast<int>(max_epochs));
   }
   if (command == "evaluate" && argc == 5) {
     return CmdEvaluate(argv[2], argv[3], argv[4]);

@@ -3,15 +3,17 @@
 #   tier1 — fast unit/property tests (the default verify gate)
 #   slow  — integration/pipeline tests that train real models
 #
-# tier1 runs four times: once with the dispatched SIMD backend, once with
+# First, tools/lint_env_reads.sh checks that every EMBA_* knob is read
+# through the one reader (src/util/env.h).
+#
+# tier1 runs three times: once with the dispatched SIMD backend, once with
 # EMBA_SIMD=off (so a divergence between the AVX2 and scalar kernel backends
 # — see src/tensor/kernels.h, "scalar-exact contract" — fails the suite on
-# any machine regardless of which backend dispatch would pick), once with
-# EMBA_ARENA=off (so the heap-only storage path behind the activation arena
-# — see src/tensor/arena.h — stays bit-identical and leak-free too), and once
+# any machine regardless of which backend dispatch would pick), and once
 # with EMBA_INT8=on (so the quantized inference GEMM path — see
 # src/tensor/int8.h — holds its tolerance contract everywhere, not just in
-# the tests that opt into it).
+# the tests that opt into it). Arena-vs-heap bit equality is checked inside
+# inference_test through ActivationArena::ForceDisabledForTest.
 #
 # The observability smoke (tools/obs_smoke.sh, the same script CI runs)
 # follows the serve_bench smokes.
@@ -25,6 +27,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+tools/lint_env_reads.sh
+
 cmake -B build -S .
 cmake --build build -j
 
@@ -33,8 +37,6 @@ echo "=== tier1 (fast unit tests, dispatched kernel backend) ==="
 ctest -L tier1 --output-on-failure -j "$@"
 echo "=== tier1 (fast unit tests, EMBA_SIMD=off) ==="
 EMBA_SIMD=off ctest -L tier1 --output-on-failure -j "$@"
-echo "=== tier1 (fast unit tests, EMBA_ARENA=off) ==="
-EMBA_ARENA=off ctest -L tier1 --output-on-failure -j "$@"
 echo "=== tier1 (fast unit tests, EMBA_INT8=on) ==="
 EMBA_INT8=on ctest -L tier1 --output-on-failure -j "$@"
 echo "=== serve (serving/HTTP battery, standalone pass) ==="

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "util/atomic_file.h"
+#include "util/env.h"
 #include "util/json.h"
 #include "util/status.h"
 
@@ -30,6 +31,7 @@ namespace {
 using emba::ReadFileToString;
 using emba::Status;
 
+namespace env = emba::env;
 namespace json = emba::json;
 
 /// Reads number member `key` of `obj` into `out`; false (and `out`
@@ -262,11 +264,13 @@ int main(int argc, char** argv) {
   std::vector<std::string> paths;
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--f1-tol") == 0 && a + 1 < argc) {
-      f1_tol = std::atof(argv[++a]);
-      if (f1_tol < 0.0) return UsageError();
+      const auto tol = env::ParseDouble(argv[++a], 0.0, HUGE_VAL);
+      if (!tol) return UsageError();
+      f1_tol = *tol;
     } else if (std::strcmp(argv[a], "--loss-tol-pct") == 0 && a + 1 < argc) {
-      loss_tol_pct = std::atof(argv[++a]);
-      if (loss_tol_pct < 0.0) return UsageError();
+      const auto tol = env::ParseDouble(argv[++a], 0.0, HUGE_VAL);
+      if (!tol) return UsageError();
+      loss_tol_pct = *tol;
     } else if (argv[a][0] == '-') {
       return UsageError();
     } else {
