@@ -18,13 +18,6 @@ double ScoreOf(const emba::explain::AttentionReport& report,
   return 0.0;
 }
 
-double MeanScore(const emba::explain::AttentionReport& report) {
-  if (report.words.empty()) return 0.0;
-  double acc = 0.0;
-  for (const auto& entry : report.words) acc += entry.score;
-  return acc / static_cast<double>(report.words.size());
-}
-
 }  // namespace
 
 int main() {

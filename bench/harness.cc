@@ -86,14 +86,12 @@ core::TrainConfig TrainConfigFromScale(const BenchScale& scale,
 core::TrainResult TrainOnce(DatasetCache* cache,
                             const std::string& dataset_name,
                             const std::string& model_name, uint64_t seed) {
-  // Dynamic span name (dataset/model vary per call) — copied, not literal.
   // The string args go through InternString: SpanArg values must outlive
   // the ring buffer, and model/dataset names repeat across seeds so the
   // pool stays tiny.
-  trace::ScopedSpanCopy span(
-      "bench/train_once: " + model_name + "@" + dataset_name,
-      {"seed", seed}, {"model", trace::InternString(model_name)},
-      {"dataset", trace::InternString(dataset_name)});
+  EMBA_TRACE_SPAN_ARGS("bench/train_once", {"seed", seed},
+                       {"model", trace::InternString(model_name)},
+                       {"dataset", trace::InternString(dataset_name)});
   const core::InputStyle style = core::ModelUsesDittoInput(model_name)
                                      ? core::InputStyle::kDitto
                                      : core::InputStyle::kPlain;

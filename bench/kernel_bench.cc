@@ -25,6 +25,7 @@
 #include "tensor/kernels.h"
 #include "tensor/tensor.h"
 #include "util/bench_scale.h"
+#include "util/env.h"
 #include "util/observability.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -164,7 +165,15 @@ int main(int argc, char** argv) {
   std::string json_path = "kernel_bench.json";
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--threads") == 0 && a + 1 < argc) {
-      threads = std::max(1, std::atoi(argv[++a]));
+      const char* text = argv[++a];
+      const auto value = env::ParseInt(text, 1, 1024);
+      if (!value) {
+        std::fprintf(stderr,
+                     "error: --threads requires an integer in [1, 1024], "
+                     "got '%s'\n", text);
+        return 1;
+      }
+      threads = static_cast<int>(*value);
     } else if (std::strcmp(argv[a], "--json") == 0 && a + 1 < argc) {
       json_path = argv[++a];
     }

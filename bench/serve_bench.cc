@@ -28,6 +28,8 @@
 //                         /rpcz snapshot) into <dir> — CI
 //                         scrapes these without a live listener
 //
+// A malformed or out-of-range numeric value exits 1 and names the flag.
+//
 // Exit status is nonzero when the run is unhealthy: zero completed
 // requests, any 5xx response, or p99 above the target. 429s are reported
 // but tolerated — an overloaded open-loop run is *supposed* to shed load.
@@ -52,6 +54,7 @@
 #include "data/generator.h"
 #include "serve/service.h"
 #include "tensor/int8.h"
+#include "util/env.h"
 #include "util/json.h"
 #include "util/metrics.h"
 #include "util/observability.h"
@@ -133,20 +136,44 @@ int main(int argc, char** argv) {
       }
       return argv[++a];
     };
+    // Numeric values parse in full and within bounds; anything else exits
+    // 1 naming the flag.
+    auto number = [&](const char* flag, double lo, double hi) {
+      const char* text = next(flag);
+      const auto value = env::ParseDouble(text, lo, hi);
+      if (!value) {
+        std::fprintf(stderr,
+                     "error: %s requires a number in [%g, %g], got '%s'\n",
+                     flag, lo, hi, text);
+        std::exit(1);
+      }
+      return *value;
+    };
+    auto integer = [&](const char* flag, int64_t lo, int64_t hi) {
+      const char* text = next(flag);
+      const auto value = env::ParseInt(text, lo, hi);
+      if (!value) {
+        std::fprintf(
+            stderr, "error: %s requires an integer in [%lld, %lld], got '%s'\n",
+            flag, static_cast<long long>(lo), static_cast<long long>(hi), text);
+        std::exit(1);
+      }
+      return *value;
+    };
     if (std::strcmp(argv[a], "--duration") == 0) {
-      opt.duration_s = std::atof(next("--duration"));
+      opt.duration_s = number("--duration", 1e-3, 86400.0);
     } else if (std::strcmp(argv[a], "--rps") == 0) {
-      opt.rps = std::atof(next("--rps"));
+      opt.rps = number("--rps", 1e-3, 1e6);
     } else if (std::strcmp(argv[a], "--p99-ms") == 0) {
-      opt.p99_target_ms = std::atof(next("--p99-ms"));
+      opt.p99_target_ms = number("--p99-ms", 1e-3, 1e6);
     } else if (std::strcmp(argv[a], "--senders") == 0) {
-      opt.senders = std::atoi(next("--senders"));
+      opt.senders = static_cast<int>(integer("--senders", 1, 256));
     } else if (std::strcmp(argv[a], "--batch-max") == 0) {
-      opt.batch_max = static_cast<size_t>(std::atoi(next("--batch-max")));
+      opt.batch_max = static_cast<size_t>(integer("--batch-max", 1, 4096));
     } else if (std::strcmp(argv[a], "--batch-deadline-us") == 0) {
-      opt.batch_deadline_us = std::atol(next("--batch-deadline-us"));
+      opt.batch_deadline_us = integer("--batch-deadline-us", 0, 60'000'000);
     } else if (std::strcmp(argv[a], "--http-workers") == 0) {
-      opt.http_workers = std::atoi(next("--http-workers"));
+      opt.http_workers = static_cast<int>(integer("--http-workers", 1, 256));
     } else if (std::strcmp(argv[a], "--int8") == 0) {
       int8::SetRuntimeMode(int8::Mode::kOn);
     } else if (std::strcmp(argv[a], "--rtrace") == 0) {
@@ -160,10 +187,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: unknown flag %s\n", argv[a]);
       return 2;
     }
-  }
-  if (opt.duration_s <= 0 || opt.rps <= 0 || opt.senders < 1) {
-    std::fprintf(stderr, "error: --duration, --rps, --senders must be > 0\n");
-    return 2;
   }
   if (opt.rtrace) rtrace::SetEnabled(true);
   if (!opt.access_log.empty()) {

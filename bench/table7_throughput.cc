@@ -1,26 +1,27 @@
 // Table 7 reproduction: computational efficiency (pairs/second) of every
-// model in training and inference on a fixed workload, plus google-benchmark
-// microbenchmarks of the per-pair inference forward pass and a thread-sweep
-// of batched inference (pairs scored across the global thread pool).
+// model in training and inference on a fixed workload, a thread-sweep of
+// batched inference (pairs scored across the global thread pool), and a
+// timed per-pair inference forward pass of every model.
 //
-// Flags (consumed before google-benchmark's own):
-//   --threads N   parallel point of the thread sweep (default:
-//                 EMBA_NUM_THREADS or hardware_concurrency)
-//   --json PATH   where the thread-sweep JSON is written
-//                 (default: table7_threads.json)
+// Flags:
+//   --threads N       parallel point of the thread sweep, in [1, 1024]
+//                     (default: EMBA_NUM_THREADS or hardware_concurrency)
+//   --json PATH       where the thread-sweep JSON is written
+//                     (default: table7_threads.json)
+//   --serve-obs PORT  serve the observability endpoints while running
+// A malformed or out-of-range numeric value exits 1 and names the flag.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
-
-#include <benchmark/benchmark.h>
 
 #include "bench/harness.h"
 #include "core/scoring.h"
 #include "tensor/arena.h"
 #include "tensor/int8.h"
+#include "util/env.h"
 #include "util/observability.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -62,26 +63,30 @@ std::unique_ptr<core::EmModel> MakeModel(const std::string& name) {
   return std::move(*model);
 }
 
-// google-benchmark microbenchmark: single-pair inference forward pass.
-void BM_Inference(benchmark::State& state, const std::string& model_name) {
+// Microseconds per single-pair inference forward pass, in the serving
+// configuration: pooled inference Vars plus the per-thread activation arena,
+// reset between samples like the scoring loops do.
+double MeasureForwardMicros(const std::string& model_name,
+                            double min_seconds) {
   auto model = MakeModel(model_name);
   model->SetTraining(false);
-  const auto& dataset = DatasetFor(model_name);
-  // The serving configuration: pooled inference Vars plus the per-thread
-  // activation arena, reset between samples like the scoring loops do.
+  const auto& samples = DatasetFor(model_name).test;
   ag::InferenceModeGuard inference;
   ActivationArena::Scope arena;
-  size_t i = 0;
-  for (auto _ : state) {
-    const auto& sample = dataset.test[i % dataset.test.size()];
+  const auto forward = [&](size_t i) {
     {
-      core::ModelOutput out = model->Forward(sample);
-      benchmark::DoNotOptimize(out.em_logits.value().data());
+      core::ModelOutput out = model->Forward(samples[i % samples.size()]);
+      EMBA_CHECK(out.em_logits.value().size() == 2);
     }
     ActivationArena::Reset();
-    ++i;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  };
+  for (size_t i = 0; i < samples.size(); ++i) forward(i);  // warm-up
+  Stopwatch timer;
+  size_t pairs = 0;
+  do {
+    forward(pairs++);
+  } while (timer.ElapsedSeconds() < min_seconds);
+  return timer.ElapsedSeconds() * 1e6 / static_cast<double>(pairs);
 }
 
 Throughput MeasureThroughput(const std::string& model_name) {
@@ -104,9 +109,7 @@ double MeasureBatchedInference(core::EmModel* model,
   Stopwatch timer;
   size_t scored = 0;
   do {
-    auto probs = core::BatchMatchProbabilities(*model, samples);
-    benchmark::DoNotOptimize(probs.data());
-    scored += probs.size();
+    scored += core::BatchMatchProbabilities(*model, samples).size();
   } while (timer.ElapsedSeconds() < min_seconds);
   return static_cast<double>(scored) / timer.ElapsedSeconds();
 }
@@ -211,30 +214,40 @@ int main(int argc, char** argv) {
   // EMBA_METRICS_OUT / EMBA_TRACE_OUT give per-stage visibility into the
   // sweep (queue-wait, kernel mix); unset, the hot paths stay uninstrumented.
   InitObservabilityFromEnv();
-  // Consume --threads / --json / --serve-obs before google-benchmark parses
-  // the rest.
   int sweep_threads = DefaultThreadCount();
   std::string json_path = "table7_threads.json";
-  int kept = 1;
+  // Numeric flags parse in full and within bounds, else exit 1.
+  const auto integer = [](const char* flag, const char* text, int64_t lo,
+                          int64_t hi) -> std::optional<int64_t> {
+    const auto value = env::ParseInt(text, lo, hi);
+    if (!value) {
+      std::fprintf(stderr,
+                   "error: %s requires an integer in [%lld, %lld], got '%s'\n",
+                   flag, static_cast<long long>(lo),
+                   static_cast<long long>(hi), text);
+    }
+    return value;
+  };
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--threads") == 0 && a + 1 < argc) {
-      sweep_threads = std::max(1, std::atoi(argv[++a]));
+      const auto value = integer("--threads", argv[++a], 1, 1024);
+      if (!value) return 1;
+      sweep_threads = static_cast<int>(*value);
     } else if (std::strcmp(argv[a], "--json") == 0 && a + 1 < argc) {
       json_path = argv[++a];
     } else if (std::strcmp(argv[a], "--serve-obs") == 0 && a + 1 < argc) {
       // Live scraping of a long sweep: curl :PORT/metrics mid-run.
+      const auto port = integer("--serve-obs", argv[++a], 0, 65535);
+      if (!port) return 1;
       emba::Status status =
-          emba::StartObservabilityServer(std::atoi(argv[++a]));
+          emba::StartObservabilityServer(static_cast<int>(*port));
       if (!status.ok()) {
         std::fprintf(stderr, "--serve-obs failed: %s\n",
                      status.ToString().c_str());
         return 1;
       }
-    } else {
-      argv[kept++] = argv[a];
     }
   }
-  argc = kept;
 
   g_scale = GetBenchScale();
   bench::DatasetCache cache(g_scale);
@@ -270,13 +283,14 @@ int main(int argc, char** argv) {
 
   RunThreadSweep(sweep_threads, json_path);
 
-  // google-benchmark microbenchmarks of the inference forward pass.
-  std::printf("\n--- per-pair inference microbenchmarks ---\n");
+  std::printf("\n=== per-pair inference forward pass ===\n");
+  bench::TablePrinter forward_table({"Model", "us/pair"});
   for (const auto& model : Models()) {
-    benchmark::RegisterBenchmark(("BM_Inference/" + model).c_str(),
-                                 BM_Inference, model);
+    forward_table.AddRow(
+        {model, FormatFixed(MeasureForwardMicros(model, g_scale.full ? 2.0
+                                                                     : 0.5),
+                            2)});
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  forward_table.Print();
   return 0;
 }

@@ -23,16 +23,16 @@ ModelOutput EscapeOutput(const ModelOutput& out) {
   return escaped;
 }
 
-}  // namespace
-
-std::vector<ModelOutput> BatchForward(const EmModel& model,
-                                      const std::vector<PairSample>& samples) {
-  EMBA_CHECK_MSG(!model.training(),
-                 "BatchForward requires an eval-mode model "
-                 "(call SetTraining(false) first)");
-  EMBA_TRACE_SPAN_ARGS("core/batch_forward", {"pairs", samples.size()});
+// The one inference loop behind BatchForward and BatchMatchProbabilities:
+// fans the samples out across the global thread pool, where every worker
+// enters the inference fast path and an arena scope, and hands sample i's
+// arena-backed output to `consume(i, out)` before the arena is reset.
+// `span` names the trace span and must be a literal.
+template <typename Consume>
+void ForwardEach(const EmModel& model, const std::vector<PairSample>& samples,
+                 const char* span, Consume consume) {
+  EMBA_TRACE_SPAN_ARGS(span, {"pairs", samples.size()});
   Stopwatch batch_timer;
-  std::vector<ModelOutput> outputs(samples.size());
   GlobalThreadPool().ParallelForChunks(
       0, static_cast<int64_t>(samples.size()), /*grain=*/1,
       [&](int64_t begin, int64_t end) {
@@ -42,8 +42,9 @@ std::vector<ModelOutput> BatchForward(const EmModel& model,
         ActivationArena::Scope arena;
         for (int64_t i = begin; i < end; ++i) {
           {
-            ModelOutput out = model.Forward(samples[static_cast<size_t>(i)]);
-            outputs[static_cast<size_t>(i)] = EscapeOutput(out);
+            const ModelOutput out =
+                model.Forward(samples[static_cast<size_t>(i)]);
+            consume(static_cast<size_t>(i), out);
           }  // drop the arena-backed output before reclaiming its storage
           ActivationArena::Reset();
         }
@@ -54,6 +55,20 @@ std::vector<ModelOutput> BatchForward(const EmModel& model,
       metrics::GetHistogram("scoring.batch_latency_ms");
   pairs_scored.Increment(samples.size());
   batch_latency.Observe(batch_timer.ElapsedMillis());
+}
+
+}  // namespace
+
+std::vector<ModelOutput> BatchForward(const EmModel& model,
+                                      const std::vector<PairSample>& samples) {
+  EMBA_CHECK_MSG(!model.training(),
+                 "BatchForward requires an eval-mode model "
+                 "(call SetTraining(false) first)");
+  std::vector<ModelOutput> outputs(samples.size());
+  ForwardEach(model, samples, "core/batch_forward",
+              [&outputs](size_t i, const ModelOutput& out) {
+                outputs[i] = EscapeOutput(out);
+              });
   return outputs;
 }
 
@@ -83,30 +98,12 @@ std::vector<double> BatchMatchProbabilities(
     const EmModel& model, const std::vector<PairSample>& samples) {
   EMBA_CHECK_MSG(!model.training(),
                  "BatchMatchProbabilities requires an eval-mode model");
-  EMBA_TRACE_SPAN_ARGS("core/batch_match_probabilities",
-                       {"pairs", samples.size()});
-  Stopwatch batch_timer;
   std::vector<double> probabilities(samples.size());
-  GlobalThreadPool().ParallelForChunks(
-      0, static_cast<int64_t>(samples.size()), /*grain=*/1,
-      [&](int64_t begin, int64_t end) {
-        ag::InferenceModeGuard inference;
-        ActivationArena::Scope arena;
-        for (int64_t i = begin; i < end; ++i) {
-          {
-            ModelOutput out = model.Forward(samples[static_cast<size_t>(i)]);
-            probabilities[static_cast<size_t>(i)] =
-                MatchProbabilityFromLogits(out.em_logits.value());
-          }
-          ActivationArena::Reset();
-        }
-      });
-  static metrics::Counter& pairs_scored =
-      metrics::GetCounter("scoring.pairs_scored");
-  static metrics::Histogram& batch_latency =
-      metrics::GetHistogram("scoring.batch_latency_ms");
-  pairs_scored.Increment(samples.size());
-  batch_latency.Observe(batch_timer.ElapsedMillis());
+  ForwardEach(model, samples, "core/batch_match_probabilities",
+              [&probabilities](size_t i, const ModelOutput& out) {
+                probabilities[i] =
+                    MatchProbabilityFromLogits(out.em_logits.value());
+              });
   return probabilities;
 }
 

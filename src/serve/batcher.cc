@@ -89,8 +89,7 @@ Result<std::vector<std::future<double>>> DynamicBatcher::SubmitGroup(
     for (auto& sample : samples) {
       Pending pending;
       pending.sample = std::move(sample);
-      pending.enqueue = now;
-      pending.ctx = ctx;
+      pending.member = {ctx, now};
       futures.push_back(pending.promise.get_future());
       queue_.push_back(std::move(pending));
     }
@@ -136,7 +135,7 @@ void DynamicBatcher::Loop() {
     // arrived and closes at batch-full, deadline, or drain — whichever
     // comes first.
     const auto deadline =
-        queue_.front().enqueue +
+        queue_.front().member.enqueue +
         std::chrono::microseconds(config_.batch_deadline_us);
     cv_.wait_until(lock, deadline, [this] {
       return queue_.size() >= config_.max_batch || draining_;
@@ -144,11 +143,18 @@ void DynamicBatcher::Loop() {
 
     const bool batch_full = queue_.size() >= config_.max_batch;
     const size_t n = std::min(queue_.size(), config_.max_batch);
-    std::vector<Pending> batch;
-    batch.reserve(n);
+    std::vector<core::PairSample> samples;
+    std::vector<std::promise<double>> promises;
+    std::vector<rtrace::BatchMember> members;
+    samples.reserve(n);
+    promises.reserve(n);
+    members.reserve(n);
     const auto dequeue_time = std::chrono::steady_clock::now();
     for (size_t i = 0; i < n; ++i) {
-      batch.push_back(std::move(queue_.front()));
+      Pending& pending = queue_.front();
+      samples.push_back(std::move(pending.sample));
+      promises.push_back(std::move(pending.promise));
+      members.push_back(std::move(pending.member));
       queue_.pop_front();
     }
     QueueDepthGauge().Set(static_cast<double>(queue_.size()));
@@ -168,96 +174,31 @@ void DynamicBatcher::Loop() {
       fire_reason = "deadline";
     }
     BatchSizeHistogram().Observe(static_cast<double>(n));
-    for (const Pending& pending : batch) {
-      const double wait_ms = std::chrono::duration<double, std::milli>(
-                                 dequeue_time - pending.enqueue)
-                                 .count();
-      QueueWaitHistogram().Observe(wait_ms);
-      if (pending.ctx != nullptr) {
-        // Max, not sum: a multi-sample group's wait is its critical path.
-        pending.ctx->MergeStageMaxNs(
-            rtrace::Stage::kQueueWait,
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                dequeue_time - pending.enqueue)
-                .count());
-      }
+    for (const rtrace::BatchMember& member : members) {
+      QueueWaitHistogram().Observe(std::chrono::duration<double, std::milli>(
+                                       dequeue_time - member.enqueue)
+                                       .count());
     }
 
-    // One BatchSpan shared by every traced request in the batch: members
-    // and metadata are filled before the span is published through any
-    // context (LinkBatch takes the context mutex), so /rpcz readers never
-    // race these writes. Only the *_ns atomics are written after.
-    std::shared_ptr<rtrace::BatchSpan> span;
-    if (rtrace::Enabled()) {
-      bool any_traced = false;
-      for (const Pending& pending : batch) {
-        if (pending.ctx != nullptr) {
-          any_traced = true;
-          break;
-        }
-      }
-      if (any_traced) {
-        span = rtrace::BeginBatch(fire_reason, static_cast<int>(n));
-        span->int8_active = int8::ActiveMode() != int8::Mode::kOff;
-        for (const Pending& pending : batch) {
-          if (pending.ctx != nullptr) {
-            span->member_trace_ids.push_back(pending.ctx->trace_id());
-          }
-        }
-        for (const Pending& pending : batch) {
-          if (pending.ctx != nullptr) pending.ctx->LinkBatch(span);
-        }
-      }
-    }
-
-    std::vector<core::PairSample> samples;
-    samples.reserve(n);
-    for (Pending& pending : batch) {
-      samples.push_back(std::move(pending.sample));
-    }
+    rtrace::BatchAttribution attribution = rtrace::BatchAttribution::Open(
+        members, dequeue_time, fire_reason,
+        int8::ActiveMode() != int8::Mode::kOff);
     EMBA_TRACE_SPAN_ARGS("serve/batch", {"size", static_cast<int64_t>(n)});
     const auto score_begin = std::chrono::steady_clock::now();
-    if (span != nullptr) {
-      span->form_ns.store(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(score_begin -
-                                                               dequeue_time)
-              .count(),
-          std::memory_order_relaxed);
-      for (const Pending& pending : batch) {
-        if (pending.ctx != nullptr) {
-          pending.ctx->AddStageNs(
-              rtrace::Stage::kBatchForm,
-              span->form_ns.load(std::memory_order_relaxed));
-        }
-      }
-    }
-    const auto finish_compute = [&] {
-      if (span == nullptr) return;
-      const int64_t compute_ns =
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - score_begin)
-              .count();
-      span->compute_ns.store(compute_ns, std::memory_order_relaxed);
-      for (const Pending& pending : batch) {
-        if (pending.ctx != nullptr) {
-          pending.ctx->AddStageNs(rtrace::Stage::kCompute, compute_ns);
-        }
-      }
-    };
+    std::vector<double> scores;
+    std::exception_ptr error;
     try {
-      const std::vector<double> scores = score_fn_(samples);
-      finish_compute();
-      EMBA_CHECK_MSG(scores.size() == batch.size(),
-                     "score fn returned wrong batch size");
-      for (size_t i = 0; i < batch.size(); ++i) {
-        batch[i].promise.set_value(scores[i]);
-      }
+      scores = score_fn_(samples);
     } catch (...) {
-      finish_compute();
-      const std::exception_ptr error = std::current_exception();
-      for (Pending& pending : batch) {
-        pending.promise.set_exception(error);
-      }
+      error = std::current_exception();
+    }
+    attribution.Close(score_begin, std::chrono::steady_clock::now());
+    if (error == nullptr) {
+      EMBA_CHECK_MSG(scores.size() == n, "score fn returned wrong batch size");
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (error != nullptr) promises[i].set_exception(error);
+      else promises[i].set_value(scores[i]);
     }
 
     lock.lock();

@@ -65,8 +65,8 @@ class DynamicBatcher {
   /// Admits one sample. The future yields its score (or rethrows the
   /// ScoreFn's exception). ResourceExhausted when the queue is full,
   /// Unavailable when draining. `ctx` (optional) is the submitting request's
-  /// trace context: the batcher stamps its queue_wait / batch_form / compute
-  /// stages and links the shared BatchSpan when the sample is scored.
+  /// trace context, handed to rtrace's batch attribution when the sample is
+  /// scored.
   Result<std::future<double>> Submit(
       core::PairSample sample,
       std::shared_ptr<rtrace::RequestContext> ctx = nullptr);
@@ -74,8 +74,7 @@ class DynamicBatcher {
   /// All-or-nothing group admission (one /dedupe request's candidates):
   /// either every sample is parked — possibly spread across several formed
   /// batches — or none is and the group is rejected as a unit. The group
-  /// shares one `ctx`; queue_wait merges as the max over samples (the
-  /// group's critical path), the other stages accumulate.
+  /// shares one `ctx`.
   Result<std::vector<std::future<double>>> SubmitGroup(
       std::vector<core::PairSample> samples,
       std::shared_ptr<rtrace::RequestContext> ctx = nullptr);
@@ -94,9 +93,9 @@ class DynamicBatcher {
   struct Pending {
     core::PairSample sample;
     std::promise<double> promise;
-    std::chrono::steady_clock::time_point enqueue;
-    /// Trace context of the submitting request; nullptr when untraced.
-    std::shared_ptr<rtrace::RequestContext> ctx;
+    /// Enqueue time and the submitting request's trace context (nullptr
+    /// when untraced).
+    rtrace::BatchMember member;
   };
 
   void Loop();

@@ -64,6 +64,20 @@ data::Record RecordFromText(const std::string& text) {
   return record;
 }
 
+// One scoring endpoint's metric family, serve.<endpoint>.*.
+struct EndpointMetrics {
+  explicit EndpointMetrics(const std::string& endpoint)
+      : requests(metrics::GetCounter("serve." + endpoint + ".requests")),
+        rejected(metrics::GetCounter("serve." + endpoint + ".rejected")),
+        bad_requests(
+            metrics::GetCounter("serve." + endpoint + ".bad_requests")),
+        e2e(metrics::GetHistogram("serve." + endpoint + ".e2e_ms")) {}
+  metrics::Counter& requests;
+  metrics::Counter& rejected;
+  metrics::Counter& bad_requests;
+  metrics::Histogram& e2e;
+};
+
 /// Required string member of a parsed body; InvalidArgument otherwise.
 Result<std::string> RequiredString(const json::Value& body,
                                    const std::string& key) {
@@ -188,24 +202,19 @@ http::HttpResponse MatchService::Handle(const http::HttpRequest& request) {
       resp.extra_headers.emplace_back("Allow", "POST");
       return resp;
     }
-    return request.path == "/match" ? HandleMatch(request)
-                                    : HandleDedupe(request);
+    return HandleScoring(request);
   }
   // Everything else is the observability endpoint table (or its 404).
   return HandleObservabilityRequest(request);
 }
 
-http::HttpResponse MatchService::HandleMatch(
+http::HttpResponse MatchService::HandleScoring(
     const http::HttpRequest& request) {
-  static metrics::Counter& match_requests =
-      metrics::GetCounter("serve.match.requests");
-  static metrics::Counter& match_rejected =
-      metrics::GetCounter("serve.match.rejected");
-  static metrics::Counter& match_bad =
-      metrics::GetCounter("serve.match.bad_requests");
-  static metrics::Histogram& e2e =
-      metrics::GetHistogram("serve.match.e2e_ms");
-  match_requests.Increment();
+  static const EndpointMetrics match_metrics("match");
+  static const EndpointMetrics dedupe_metrics("dedupe");
+  const bool is_match = request.path == "/match";
+  const EndpointMetrics& m = is_match ? match_metrics : dedupe_metrics;
+  m.requests.Increment();
   Stopwatch timer;
   rtrace::RequestContext* ctx = request.trace.get();
 
@@ -213,121 +222,25 @@ http::HttpResponse MatchService::HandleMatch(
     rtrace::StageTimer parse_timer(ctx, rtrace::Stage::kParse);
     return json::Parse(request.body);
   }();
-  if (!body.ok()) {
-    match_bad.Increment();
-    return JsonError(400, body.status().message());
+  Result<ScoringPlan> plan =
+      !body.ok() ? body.status()
+                 : (is_match ? PlanMatch(*body) : PlanDedupe(*body));
+  if (!plan.ok()) {
+    m.bad_requests.Increment();
+    return JsonError(400, plan.status().message());
   }
-  auto left = RequiredString(*body, "left");
-  auto right = RequiredString(*body, "right");
-  if (!left.ok() || !right.ok()) {
-    match_bad.Increment();
-    return JsonError(400, (left.ok() ? right : left).status().message());
-  }
-
-  data::LabeledPair pair;
-  pair.left = RecordFromText(*left);
-  pair.right = RecordFromText(*right);
-  core::PairSample sample =
-      core::EncodePair(*encoding_, pair, model_->input_style());
-
-  if (draining_.load(std::memory_order_acquire)) {
-    match_rejected.Increment();
-    return RejectionResponse(Status::Unavailable("matcher is draining"),
-                             config_.batcher);
-  }
-  auto future = batcher_->Submit(std::move(sample), request.trace);
-  if (!future.ok()) {
-    match_rejected.Increment();
-    return RejectionResponse(future.status(), config_.batcher);
-  }
-  double probability = 0.0;
-  try {
-    probability = future->get();
-  } catch (const std::exception& e) {
-    return JsonError(500, std::string("scoring failed: ") + e.what());
-  }
-
-  http::HttpResponse resp;
-  resp.content_type = "application/json";
-  {
-    rtrace::StageTimer serialize_timer(ctx, rtrace::Stage::kSerialize);
-    std::ostringstream out;
-    out << "{\"match_probability\": " << json::NumberToString(probability)
-        << ", \"match\": "
-        << (probability >= config_.match_threshold ? "true" : "false")
-        << ", \"threshold\": " << json::NumberToString(config_.match_threshold)
-        << "}\n";
-    resp.body = out.str();
-  }
-  if (ctx != nullptr) {
-    e2e.ObserveWithExemplar(timer.ElapsedMillis(), ctx->trace_id());
-  } else {
-    e2e.Observe(timer.ElapsedMillis());
-  }
-  return resp;
-}
-
-http::HttpResponse MatchService::HandleDedupe(
-    const http::HttpRequest& request) {
-  static metrics::Counter& dedupe_requests =
-      metrics::GetCounter("serve.dedupe.requests");
-  static metrics::Counter& dedupe_rejected =
-      metrics::GetCounter("serve.dedupe.rejected");
-  static metrics::Counter& dedupe_bad =
-      metrics::GetCounter("serve.dedupe.bad_requests");
-  static metrics::Histogram& e2e =
-      metrics::GetHistogram("serve.dedupe.e2e_ms");
-  static metrics::Histogram& candidates_hist = metrics::GetHistogram(
-      "serve.dedupe.candidates", metrics::ExponentialBuckets(1.0, 2.0, 12));
-  dedupe_requests.Increment();
-  Stopwatch timer;
-  rtrace::RequestContext* ctx = request.trace.get();
-
-  Result<json::Value> body = [&] {
-    rtrace::StageTimer parse_timer(ctx, rtrace::Stage::kParse);
-    return json::Parse(request.body);
-  }();
-  if (!body.ok()) {
-    dedupe_bad.Increment();
-    return JsonError(400, body.status().message());
-  }
-  auto record_text = RequiredString(*body, "record");
-  if (!record_text.ok()) {
-    dedupe_bad.Increment();
-    return JsonError(400, record_text.status().message());
-  }
-  size_t top_k = static_cast<size_t>(config_.dedupe_top_k);
-  if (const json::Value* v = body->Find("top_k")) {
-    if (!v->is_number() || v->AsNumber() < 1.0 || v->AsNumber() > 1e6) {
-      dedupe_bad.Increment();
-      return JsonError(400, "top_k must be a number in [1, 1e6]");
-    }
-    top_k = static_cast<size_t>(v->AsNumber());
-  }
-  double threshold = config_.match_threshold;
-  if (const json::Value* v = body->Find("threshold")) {
-    if (!v->is_number() || v->AsNumber() < 0.0 || v->AsNumber() > 1.0) {
-      dedupe_bad.Increment();
-      return JsonError(400, "threshold must be a number in [0, 1]");
-    }
-    threshold = v->AsNumber();
-  }
-
-  const pipeline::CandidateSet candidates = pipeline::BuildCandidateSamples(
-      *encoding_, blocker_, RecordFromText(*record_text), catalog_,
-      model_->input_style());
-  candidates_hist.Observe(static_cast<double>(candidates.samples.size()));
 
   std::vector<double> scores;
-  if (!candidates.samples.empty()) {
+  if (!plan->samples.empty()) {
     if (draining_.load(std::memory_order_acquire)) {
-      dedupe_rejected.Increment();
+      m.rejected.Increment();
       return RejectionResponse(Status::Unavailable("matcher is draining"),
                                config_.batcher);
     }
-    auto futures = batcher_->SubmitGroup(candidates.samples, request.trace);
+    auto futures =
+        batcher_->SubmitGroup(std::move(plan->samples), request.trace);
     if (!futures.ok()) {
-      dedupe_rejected.Increment();
+      m.rejected.Increment();
       return RejectionResponse(futures.status(), config_.batcher);
     }
     scores.reserve(futures->size());
@@ -338,26 +251,91 @@ http::HttpResponse MatchService::HandleDedupe(
     }
   }
 
-  // Rank by P(match) descending; ties break on catalog order so responses
-  // are deterministic.
-  std::vector<size_t> order(scores.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&scores](size_t a, size_t b) {
-    return scores[a] > scores[b];
-  });
-  if (order.size() > top_k) order.resize(top_k);
-
   http::HttpResponse resp;
   resp.content_type = "application/json";
   {
     rtrace::StageTimer serialize_timer(ctx, rtrace::Stage::kSerialize);
+    resp.body = plan->render(scores);
+  }
+  if (ctx != nullptr) {
+    m.e2e.ObserveWithExemplar(timer.ElapsedMillis(), ctx->trace_id());
+  } else {
+    m.e2e.Observe(timer.ElapsedMillis());
+  }
+  return resp;
+}
+
+Result<MatchService::ScoringPlan> MatchService::PlanMatch(
+    const json::Value& body) const {
+  auto left = RequiredString(body, "left");
+  auto right = RequiredString(body, "right");
+  if (!left.ok() || !right.ok()) return (left.ok() ? right : left).status();
+
+  data::LabeledPair pair;
+  pair.left = RecordFromText(*left);
+  pair.right = RecordFromText(*right);
+  ScoringPlan plan;
+  plan.samples.push_back(
+      core::EncodePair(*encoding_, pair, model_->input_style()));
+  plan.render = [threshold = config_.match_threshold](
+                    const std::vector<double>& scores) {
+    const double probability = scores[0];
+    std::ostringstream out;
+    out << "{\"match_probability\": " << json::NumberToString(probability)
+        << ", \"match\": " << (probability >= threshold ? "true" : "false")
+        << ", \"threshold\": " << json::NumberToString(threshold) << "}\n";
+    return out.str();
+  };
+  return plan;
+}
+
+Result<MatchService::ScoringPlan> MatchService::PlanDedupe(
+    const json::Value& body) const {
+  static metrics::Histogram& candidates_hist = metrics::GetHistogram(
+      "serve.dedupe.candidates", metrics::ExponentialBuckets(1.0, 2.0, 12));
+  auto record_text = RequiredString(body, "record");
+  if (!record_text.ok()) return record_text.status();
+  size_t top_k = static_cast<size_t>(config_.dedupe_top_k);
+  if (const json::Value* v = body.Find("top_k")) {
+    if (!v->is_number() || v->AsNumber() < 1.0 || v->AsNumber() > 1e6) {
+      return Status::Invalid("top_k must be a number in [1, 1e6]");
+    }
+    top_k = static_cast<size_t>(v->AsNumber());
+  }
+  double threshold = config_.match_threshold;
+  if (const json::Value* v = body.Find("threshold")) {
+    if (!v->is_number() || v->AsNumber() < 0.0 || v->AsNumber() > 1.0) {
+      return Status::Invalid("threshold must be a number in [0, 1]");
+    }
+    threshold = v->AsNumber();
+  }
+
+  pipeline::CandidateSet candidates = pipeline::BuildCandidateSamples(
+      *encoding_, blocker_, RecordFromText(*record_text), catalog_,
+      model_->input_style());
+  candidates_hist.Observe(static_cast<double>(candidates.samples.size()));
+  ScoringPlan plan;
+  plan.samples = std::move(candidates.samples);
+  plan.render = [this, top_k, threshold,
+                 catalog_indices = std::move(candidates.catalog_indices)](
+                    const std::vector<double>& scores) {
+    // Rank by P(match) descending; ties break on catalog order so responses
+    // are deterministic.
+    std::vector<size_t> order(scores.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&scores](size_t a, size_t b) {
+                       return scores[a] > scores[b];
+                     });
+    if (order.size() > top_k) order.resize(top_k);
+
     std::ostringstream out;
     out << "{\"candidates_considered\": " << scores.size()
         << ", \"threshold\": " << json::NumberToString(threshold)
         << ", \"candidates\": [";
     for (size_t rank = 0; rank < order.size(); ++rank) {
       const size_t c = order[rank];
-      const size_t catalog_index = candidates.catalog_indices[c];
+      const size_t catalog_index = catalog_indices[c];
       out << (rank == 0 ? "\n" : ",\n") << "  {\"catalog_index\": "
           << catalog_index << ", \"description\": \""
           << json::Escape(catalog_[catalog_index].Description())
@@ -366,14 +344,9 @@ http::HttpResponse MatchService::HandleDedupe(
           << "}";
     }
     out << (order.empty() ? "]" : "\n]") << "}\n";
-    resp.body = out.str();
-  }
-  if (ctx != nullptr) {
-    e2e.ObserveWithExemplar(timer.ElapsedMillis(), ctx->trace_id());
-  } else {
-    e2e.Observe(timer.ElapsedMillis());
-  }
-  return resp;
+    return out.str();
+  };
+  return plan;
 }
 
 // ---------------------------------------------------------------------------

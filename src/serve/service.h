@@ -20,6 +20,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "core/sample.h"
 #include "serve/batcher.h"
 #include "util/http_server.h"
+#include "util/json.h"
 #include "util/status.h"
 
 namespace emba {
@@ -84,8 +86,21 @@ class MatchService {
   http::HttpResponse Handle(const http::HttpRequest& request);
 
  private:
-  http::HttpResponse HandleMatch(const http::HttpRequest& request);
-  http::HttpResponse HandleDedupe(const http::HttpRequest& request);
+  /// What /match or /dedupe asks the batcher to score, and how the scores
+  /// become the 200 body.
+  struct ScoringPlan {
+    std::vector<core::PairSample> samples;
+    std::function<std::string(const std::vector<double>& scores)> render;
+  };
+
+  /// The path /match and /dedupe share: body parse, the endpoint's plan
+  /// (400 when invalid), the drain pre-check, group admission (429/503),
+  /// awaiting every score (500 on a scoring error), serialization and the
+  /// serve.<endpoint>.e2e_ms observation with its trace-id exemplar.
+  http::HttpResponse HandleScoring(const http::HttpRequest& request);
+  /// /match is a one-sample group.
+  Result<ScoringPlan> PlanMatch(const json::Value& body) const;
+  Result<ScoringPlan> PlanDedupe(const json::Value& body) const;
 
   core::EmModel* model_;
   const core::EncodedDataset* encoding_;

@@ -191,74 +191,38 @@ http::HttpResponse HandleProfilez(const http::HttpRequest& req) {
 // ---------------------------------------------------------------------------
 // /rpcz — request-scoped tracing surface (util/request_trace)
 
-void AppendRecordJson(std::ostringstream* out,
-                      const rtrace::RequestRecord& rec) {
-  *out << "{\"trace_id\": \"" << rec.trace_id_hex << "\", \"endpoint\": \""
-       << json::Escape(rec.endpoint) << "\", \"status\": " << rec.status
-       << ", \"in_flight\": " << (rec.in_flight ? "true" : "false")
-       << ", \"error\": " << (rec.error ? "true" : "false")
-       << ", \"start_unix_seconds\": "
-       << json::NumberToString(rec.start_unix_seconds)
-       << ", \"e2e_ms\": " << json::NumberToString(rec.e2e_ms)
-       << ", \"stages_ms\": {";
-  for (int s = 0; s < rtrace::kStageCount; ++s) {
-    if (s > 0) *out << ", ";
-    *out << "\"" << rtrace::StageName(static_cast<rtrace::Stage>(s))
-         << "\": " << json::NumberToString(rec.stage_ms[s]);
-  }
-  *out << ", \"other\": " << json::NumberToString(rec.other_ms) << "}";
-  if (rec.has_batch) {
-    *out << ", \"batch\": {\"id\": " << rec.batch_id
-         << ", \"size\": " << rec.batch_size << ", \"fire_reason\": \""
-         << json::Escape(rec.fire_reason)
-         << "\", \"compute_ms\": " << json::NumberToString(rec.batch_compute_ms)
-         << ", \"int8\": " << (rec.int8_active ? "true" : "false")
-         << ", \"sibling_trace_ids\": [";
-    for (size_t i = 0; i < rec.sibling_trace_ids.size(); ++i) {
-      if (i > 0) *out << ", ";
-      *out << "\"" << rec.sibling_trace_ids[i] << "\"";
-    }
-    *out << "]}";
-  }
-  *out << "}";
-}
-
 http::HttpResponse HandleRpcz(const http::HttpRequest& req) {
-  std::ostringstream out;
-
   // Single-request lookup. 404 when the id was never retained — the
   // tail-sampling policy is allowed to have dropped it.
   const std::string trace_id = http::QueryParam(req.query, "trace_id");
   if (!trace_id.empty()) {
+    const uint64_t id = rtrace::ParseTraceIdHex(trace_id);
     rtrace::RequestRecord rec;
-    if (!rtrace::FindRetainedHex(trace_id, &rec)) {
+    if (id == 0 || !rtrace::FindRetained(id, &rec)) {
       http::HttpResponse resp = JsonResponse(
           "{\"error\": \"trace id not retained: " + json::Escape(trace_id) +
           "\"}\n");
       resp.status = 404;
       return resp;
     }
-    AppendRecordJson(&out, rec);
-    out << "\n";
-    return JsonResponse(out.str());
+    return JsonResponse(rtrace::RecordJson(rec) + "\n");
   }
 
-  const std::vector<rtrace::RequestRecord> in_flight =
-      rtrace::SnapshotInFlight();
-  const std::vector<rtrace::RequestRecord> retained =
-      rtrace::SnapshotRetained();
+  std::ostringstream out;
+  const auto write_records =
+      [&out](const std::vector<rtrace::RequestRecord>& records) {
+        out << "[";
+        for (size_t i = 0; i < records.size(); ++i) {
+          out << (i == 0 ? "\n  " : ",\n  ") << rtrace::RecordJson(records[i]);
+        }
+        out << (records.empty() ? "]" : "\n]");
+      };
   out << "{\"tracing\": " << (rtrace::Enabled() ? "true" : "false")
-      << ", \"slowest_k\": " << rtrace::SlowestK() << ", \"in_flight\": [";
-  for (size_t i = 0; i < in_flight.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << "  ";
-    AppendRecordJson(&out, in_flight[i]);
-  }
-  out << (in_flight.empty() ? "]" : "\n]") << ", \"retained\": [";
-  for (size_t i = 0; i < retained.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << "  ";
-    AppendRecordJson(&out, retained[i]);
-  }
-  out << (retained.empty() ? "]" : "\n]") << "}\n";
+      << ", \"slowest_k\": " << rtrace::SlowestK() << ", \"in_flight\": ";
+  write_records(rtrace::SnapshotInFlight());
+  out << ", \"retained\": ";
+  write_records(rtrace::SnapshotRetained());
+  out << "}\n";
   return JsonResponse(out.str());
 }
 

@@ -80,27 +80,8 @@ AccessLog& Log() {
 
 std::atomic<uint64_t> g_next_batch_id{1};
 
-// One access-log line (no trailing newline). Keys are stable — the log is
-// a machine-read artifact (CI uploads it; jq-friendly).
-std::string FormatAccessLogLine(const RequestRecord& rec) {
-  std::ostringstream out;
-  out << "{\"ts\": " << json::NumberToString(rec.start_unix_seconds)
-      << ", \"trace_id\": \"" << rec.trace_id_hex << "\", \"endpoint\": \""
-      << json::Escape(rec.endpoint) << "\", \"status\": " << rec.status
-      << ", \"e2e_ms\": " << json::NumberToString(rec.e2e_ms)
-      << ", \"stages_ms\": {";
-  for (int s = 0; s < kStageCount; ++s) {
-    out << (s == 0 ? "\"" : ", \"") << StageName(static_cast<Stage>(s))
-        << "\": " << json::NumberToString(rec.stage_ms[s]);
-  }
-  out << ", \"other\": " << json::NumberToString(rec.other_ms) << "}";
-  if (rec.has_batch) {
-    out << ", \"batch_id\": " << rec.batch_id
-        << ", \"batch_size\": " << rec.batch_size << ", \"fire_reason\": \""
-        << json::Escape(rec.fire_reason) << "\"";
-  }
-  out << ", \"int8\": " << (rec.int8_active ? "true" : "false") << "}";
-  return out.str();
+int64_t Ns(Clock::duration d) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(d).count();
 }
 
 void WriteAccessLogLine(const RequestRecord& rec) {
@@ -123,50 +104,9 @@ void WriteAccessLogLine(const RequestRecord& rec) {
     return;
   }
   log.tokens -= 1.0;
-  log.out << FormatAccessLogLine(rec) << '\n';
+  log.out << RecordJson(rec) << '\n';
   log.out.flush();
   lines.Increment();
-}
-
-RequestRecord BuildRecord(const RequestContext& ctx, bool in_flight,
-                          double e2e_ms, int status) {
-  RequestRecord rec;
-  rec.trace_id = ctx.trace_id();
-  rec.trace_id_hex = ctx.trace_id_hex();
-  rec.endpoint = ctx.endpoint();
-  rec.status = status;
-  rec.in_flight = in_flight;
-  rec.error = !in_flight && (status == 0 || status >= 500);
-  rec.e2e_ms = e2e_ms;
-  double stage_sum = 0.0;
-  for (int s = 0; s < kStageCount; ++s) {
-    rec.stage_ms[s] = NsToMs(ctx.StageNs(static_cast<Stage>(s)));
-    stage_sum += rec.stage_ms[s];
-  }
-  rec.other_ms = in_flight ? 0.0 : std::max(0.0, e2e_ms - stage_sum);
-  if (std::shared_ptr<BatchSpan> batch = ctx.batch()) {
-    rec.has_batch = true;
-    rec.batch_id = batch->batch_id;
-    rec.batch_size = batch->size;
-    rec.fire_reason = batch->fire_reason;
-    rec.batch_compute_ms =
-        NsToMs(batch->compute_ns.load(std::memory_order_relaxed));
-    rec.int8_active = batch->int8_active;
-    for (uint64_t member : batch->member_trace_ids) {
-      if (member != ctx.trace_id()) {
-        rec.sibling_trace_ids.push_back(TraceIdToHex(member));
-      }
-    }
-  }
-  return rec;
-}
-
-// Start-of-request wall clock, recovered from the steady-clock age so the
-// context itself stays wall-clock-free.
-double StartUnixSeconds(const RequestContext& ctx) {
-  const double age =
-      std::chrono::duration<double>(Clock::now() - ctx.start()).count();
-  return UnixNowSeconds() - age;
 }
 
 metrics::Histogram& StageHistogram(Stage stage) {
@@ -181,6 +121,22 @@ metrics::Histogram& StageHistogram(Stage stage) {
 }
 
 }  // namespace
+
+namespace internal {
+
+// Everything but compute_ns is written before the batch is linked into any
+// context (publication via the context mutex), so readers never race those
+// writes. compute_ns lands after scoring, while /rpcz may be reading.
+struct SharedBatch {
+  uint64_t batch_id = 0;  ///< monotonic, 1-based, process-global
+  int size = 0;
+  const char* fire_reason = "";  ///< "full" | "deadline" | "drain"
+  bool int8_active = false;
+  std::vector<uint64_t> member_trace_ids;  ///< distinct traced requests
+  std::atomic<int64_t> compute_ns{0};
+};
+
+}  // namespace internal
 
 const char* StageName(Stage stage) {
   switch (stage) {
@@ -198,14 +154,37 @@ void SetEnabled(bool enabled) {
 }
 
 // ---------------------------------------------------------------------------
-// BatchSpan
+// RequestRecord
 
-std::shared_ptr<BatchSpan> BeginBatch(const char* fire_reason, int size) {
-  auto span = std::make_shared<BatchSpan>();
-  span->batch_id = g_next_batch_id.fetch_add(1, std::memory_order_relaxed);
-  span->fire_reason = fire_reason;
-  span->size = size;
-  return span;
+std::string RecordJson(const RequestRecord& rec) {
+  std::ostringstream out;
+  out << "{\"trace_id\": \"" << rec.trace_id_hex << "\", \"endpoint\": \""
+      << json::Escape(rec.endpoint) << "\", \"status\": " << rec.status
+      << ", \"in_flight\": " << (rec.in_flight ? "true" : "false")
+      << ", \"error\": " << (rec.error ? "true" : "false")
+      << ", \"start_unix_seconds\": "
+      << json::NumberToString(rec.start_unix_seconds)
+      << ", \"e2e_ms\": " << json::NumberToString(rec.e2e_ms)
+      << ", \"stages_ms\": {";
+  for (int s = 0; s < kStageCount; ++s) {
+    out << (s == 0 ? "\"" : ", \"") << StageName(static_cast<Stage>(s))
+        << "\": " << json::NumberToString(rec.stage_ms[s]);
+  }
+  out << ", \"other\": " << json::NumberToString(rec.other_ms) << "}";
+  if (rec.has_batch) {
+    out << ", \"batch\": {\"id\": " << rec.batch_id
+        << ", \"size\": " << rec.batch_size << ", \"fire_reason\": \""
+        << json::Escape(rec.fire_reason)
+        << "\", \"compute_ms\": " << json::NumberToString(rec.batch_compute_ms)
+        << ", \"int8\": " << (rec.int8_active ? "true" : "false")
+        << ", \"sibling_trace_ids\": [";
+    for (size_t i = 0; i < rec.sibling_trace_ids.size(); ++i) {
+      out << (i == 0 ? "\"" : ", \"") << rec.sibling_trace_ids[i] << "\"";
+    }
+    out << "]}";
+  }
+  out << "}";
+  return out.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -234,26 +213,103 @@ void RequestContext::AddStageNs(Stage stage, int64_t ns) {
                                                std::memory_order_relaxed);
 }
 
-void RequestContext::MergeStageMaxNs(Stage stage, int64_t ns) {
-  std::atomic<int64_t>& slot = stage_ns_[static_cast<int>(stage)];
-  int64_t cur = slot.load(std::memory_order_relaxed);
-  while (ns > cur &&
-         !slot.compare_exchange_weak(cur, ns, std::memory_order_relaxed)) {
-  }
-}
-
 int64_t RequestContext::StageNs(Stage stage) const {
   return stage_ns_[static_cast<int>(stage)].load(std::memory_order_relaxed);
 }
 
-void RequestContext::LinkBatch(std::shared_ptr<BatchSpan> span) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  batch_ = std::move(span);
+RequestRecord RequestContext::Record(bool in_flight) const {
+  RequestRecord rec;
+  rec.trace_id = trace_id_;
+  rec.trace_id_hex = trace_id_hex();
+  rec.status = status();
+  rec.in_flight = in_flight;
+  rec.error = !in_flight && (rec.status == 0 || rec.status >= 500);
+  // The wall clock at start, recovered from the steady-clock age so the
+  // context itself stays wall-clock-free.
+  const Clock::duration age = Clock::now() - start_;
+  rec.start_unix_seconds =
+      UnixNowSeconds() - std::chrono::duration<double>(age).count();
+  rec.e2e_ms = std::chrono::duration<double, std::milli>(age).count();
+  double stage_sum = 0.0;
+  for (int s = 0; s < kStageCount; ++s) {
+    rec.stage_ms[s] = NsToMs(StageNs(static_cast<Stage>(s)));
+    stage_sum += rec.stage_ms[s];
+  }
+  rec.other_ms = in_flight ? 0.0 : std::max(0.0, rec.e2e_ms - stage_sum);
+  std::shared_ptr<internal::SharedBatch> batch;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    rec.endpoint = endpoint_;
+    batch = batch_;
+  }
+  if (batch != nullptr) {
+    rec.has_batch = true;
+    rec.batch_id = batch->batch_id;
+    rec.batch_size = batch->size;
+    rec.fire_reason = batch->fire_reason;
+    rec.batch_compute_ms =
+        NsToMs(batch->compute_ns.load(std::memory_order_relaxed));
+    rec.int8_active = batch->int8_active;
+    for (uint64_t member : batch->member_trace_ids) {
+      if (member != trace_id_) {
+        rec.sibling_trace_ids.push_back(TraceIdToHex(member));
+      }
+    }
+  }
+  return rec;
 }
 
-std::shared_ptr<BatchSpan> RequestContext::batch() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return batch_;
+// ---------------------------------------------------------------------------
+// Batch attribution
+
+BatchAttribution BatchAttribution::Open(
+    const std::vector<BatchMember>& members, Clock::time_point dequeue,
+    const char* fire_reason, bool int8_active) {
+  BatchAttribution out;
+  for (const BatchMember& member : members) {
+    if (member.ctx == nullptr) continue;
+    // Max, not sum: a group's wait is its critical path.
+    std::atomic<int64_t>& wait =
+        member.ctx->stage_ns_[static_cast<int>(Stage::kQueueWait)];
+    const int64_t ns = Ns(dequeue - member.enqueue);
+    int64_t cur = wait.load(std::memory_order_relaxed);
+    while (ns > cur &&
+           !wait.compare_exchange_weak(cur, ns, std::memory_order_relaxed)) {
+    }
+    // A group's samples ride as one member, however many landed here.
+    if (std::find(out.traced_.begin(), out.traced_.end(), member.ctx) ==
+        out.traced_.end()) {
+      out.traced_.push_back(member.ctx);
+    }
+  }
+  if (out.traced_.empty()) return out;
+  auto batch = std::make_shared<internal::SharedBatch>();
+  batch->batch_id = g_next_batch_id.fetch_add(1, std::memory_order_relaxed);
+  batch->size = static_cast<int>(members.size());
+  batch->fire_reason = fire_reason;
+  batch->int8_active = int8_active;
+  for (const auto& ctx : out.traced_) {
+    batch->member_trace_ids.push_back(ctx->trace_id());
+  }
+  for (const auto& ctx : out.traced_) {
+    std::lock_guard<std::mutex> lock(ctx->mutex_);
+    ctx->batch_ = batch;
+  }
+  out.batch_ = std::move(batch);
+  out.dequeue_ = dequeue;
+  return out;
+}
+
+void BatchAttribution::Close(Clock::time_point score_begin,
+                             Clock::time_point score_end) {
+  if (batch_ == nullptr) return;
+  const int64_t form_ns = Ns(score_begin - dequeue_);
+  const int64_t compute_ns = Ns(score_end - score_begin);
+  batch_->compute_ns.store(compute_ns, std::memory_order_relaxed);
+  for (const auto& ctx : traced_) {
+    ctx->AddStageNs(Stage::kBatchForm, form_ns);
+    ctx->AddStageNs(Stage::kCompute, compute_ns);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -278,11 +334,7 @@ void FinishRequest(const std::shared_ptr<RequestContext>& ctx, int status) {
   finished.Increment();
 
   ctx->SetStatus(status);
-  const double e2e_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - ctx->start())
-          .count();
-  RequestRecord rec = BuildRecord(*ctx, /*in_flight=*/false, e2e_ms, status);
-  rec.start_unix_seconds = StartUnixSeconds(*ctx);
+  RequestRecord rec = ctx->Record(/*in_flight=*/false);
 
   // Stage histograms + exemplars. Only stages the request actually passed
   // through are observed — a /metrics scrape has no queue_wait and must not
@@ -334,16 +386,7 @@ std::vector<RequestRecord> SnapshotInFlight() {
   }
   std::vector<RequestRecord> out;
   out.reserve(live.size());
-  for (const auto& ctx : live) {
-    const double age_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() -
-                                                  ctx->start())
-            .count();
-    RequestRecord rec =
-        BuildRecord(*ctx, /*in_flight=*/true, age_ms, ctx->status());
-    rec.start_unix_seconds = StartUnixSeconds(*ctx);
-    out.push_back(std::move(rec));
-  }
+  for (const auto& ctx : live) out.push_back(ctx->Record(/*in_flight=*/true));
   std::sort(out.begin(), out.end(),
             [](const RequestRecord& a, const RequestRecord& b) {
               return a.e2e_ms > b.e2e_ms;
@@ -359,14 +402,12 @@ std::vector<RequestRecord> SnapshotRetained() {
   out.insert(out.end(), store.slowest.begin(), store.slowest.end());
   for (const RequestRecord& rec : store.errors) {
     // A record can be in both pools; report it once.
-    bool duplicate = false;
-    for (const RequestRecord& kept : store.slowest) {
-      if (kept.trace_id == rec.trace_id) {
-        duplicate = true;
-        break;
-      }
+    if (std::none_of(store.slowest.begin(), store.slowest.end(),
+                     [&rec](const RequestRecord& kept) {
+                       return kept.trace_id == rec.trace_id;
+                     })) {
+      out.push_back(rec);
     }
-    if (!duplicate) out.push_back(rec);
   }
   std::sort(out.begin(), out.end(),
             [](const RequestRecord& a, const RequestRecord& b) {
@@ -399,11 +440,6 @@ bool FindRetained(uint64_t trace_id, RequestRecord* out) {
     }
   }
   return false;
-}
-
-bool FindRetainedHex(const std::string& hex, RequestRecord* out) {
-  const uint64_t id = ParseTraceIdHex(hex);
-  return id != 0 && FindRetained(id, out);
 }
 
 uint64_t ParseTraceIdHex(const std::string& hex) {

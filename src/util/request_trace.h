@@ -14,10 +14,12 @@
 //   serialize   response-body construction
 //   (other)     e2e minus the sum above — future hand-off, socket write
 //
-// Batching attribution: requests scored together share one BatchSpan
-// (batch id, size, fire reason, compute time, member trace ids), linked
-// from every member's context — so a slow request's record answers both
-// "which batch served me" and "who rode with me".
+// Batching attribution: requests scored together share one batch record
+// (batch id, size, fire reason, int8 flag, compute time, member trace ids),
+// linked from every member's context — so a slow request's record answers
+// both "which batch served me" and "who rode with me". The batcher hands
+// each fired batch over in two calls (BatchAttribution::Open before
+// scoring, Close after); every attribution rule lives here.
 //
 // Tail-based sampling keeps always-on tracing cheap: full breakdown records
 // are retained only for requests that error (5xx / aborted) or land in a
@@ -70,25 +72,72 @@ constexpr int kStageCount = 5;
 const char* StageName(Stage stage);  ///< "parse", "queue_wait", ...
 
 // ---------------------------------------------------------------------------
-// BatchSpan — one per formed batch, shared by every request it served
+// RequestRecord — the one owned, serializable view of a request
 
-struct BatchSpan {
-  uint64_t batch_id = 0;  ///< monotonic, 1-based, process-global
-  int size = 0;
-  const char* fire_reason = "";  ///< "full" | "deadline" | "drain" (literal)
+/// Owned copy of one request's breakdown, for /rpcz and tests.
+struct RequestRecord {
+  uint64_t trace_id = 0;
+  std::string trace_id_hex;
+  std::string endpoint;
+  int status = 0;
+  bool in_flight = false;
+  bool error = false;
+  double start_unix_seconds = 0.0;
+  double e2e_ms = 0.0;  ///< in-flight: age so far
+  double stage_ms[kStageCount] = {};
+  double other_ms = 0.0;  ///< e2e − Σ stages (finished records only)
+  bool has_batch = false;
+  uint64_t batch_id = 0;
+  int batch_size = 0;
+  std::string fire_reason;
+  double batch_compute_ms = 0.0;
   bool int8_active = false;
-  /// Trace ids of every traced request in the batch. Filled before the span
-  /// is linked into any context (publication via the context mutex), so
-  /// readers never race the writes.
-  std::vector<uint64_t> member_trace_ids;
-  /// Written by the batcher thread after the span is already visible, so
-  /// they are atomics; /rpcz may read an in-flight batch.
-  std::atomic<int64_t> form_ns{0};     ///< dequeue → score call issued
-  std::atomic<int64_t> compute_ns{0};  ///< whole score_fn call
+  std::vector<std::string> sibling_trace_ids;  ///< hex, self excluded
 };
 
-/// Allocates a BatchSpan with the next batch id.
-std::shared_ptr<BatchSpan> BeginBatch(const char* fire_reason, int size);
+/// The record as one line of JSON (no trailing newline). /rpcz and the
+/// access log both write records through this one function, so an access-log
+/// line is exactly the /rpcz?trace_id= body of its request.
+std::string RecordJson(const RequestRecord& rec);
+
+// ---------------------------------------------------------------------------
+// Batch attribution — the batcher's two calls per fired batch
+
+class RequestContext;
+namespace internal {
+struct SharedBatch;  // one per fired batch, linked from every traced member
+}  // namespace internal
+
+/// One sample of a fired batch: the submitting request's context (nullptr
+/// when untraced) and when the sample was parked.
+struct BatchMember {
+  std::shared_ptr<RequestContext> ctx;
+  Clock::time_point enqueue;
+};
+
+/// One fired batch, from Open before the score call until Close after it.
+class BatchAttribution {
+ public:
+  /// Charges each traced member its queue wait (enqueue → `dequeue`, the max
+  /// over its samples: a group's critical path). When any member is traced,
+  /// fills a shared batch record (next batch id, size, `fire_reason` — a
+  /// literal — the int8 flag and the member trace ids) and only then links
+  /// it from every traced member, so /rpcz readers never see it half-filled.
+  static BatchAttribution Open(const std::vector<BatchMember>& members,
+                               Clock::time_point dequeue,
+                               const char* fire_reason, bool int8_active);
+
+  /// After the score call, thrown or not: charges each traced request the
+  /// form time (dequeue → `score_begin`) and the compute time (`score_begin`
+  /// → `score_end`) once, however many of its samples rode in the batch.
+  /// A no-op when no member is traced.
+  void Close(Clock::time_point score_begin, Clock::time_point score_end);
+
+ private:
+  std::shared_ptr<internal::SharedBatch> batch_;
+  std::vector<std::shared_ptr<RequestContext>> traced_;  ///< distinct
+  Clock::time_point dequeue_;
+};
 
 // ---------------------------------------------------------------------------
 // RequestContext
@@ -108,9 +157,6 @@ class RequestContext {
   /// Accumulates into a stage (relaxed atomic add; stages may be fed from
   /// several code regions, e.g. socket parse + JSON parse both feed kParse).
   void AddStageNs(Stage stage, int64_t ns);
-  /// Keeps the max instead (queue_wait for multi-sample groups: the group's
-  /// wait is its critical path, not the sum over samples).
-  void MergeStageMaxNs(Stage stage, int64_t ns);
   int64_t StageNs(Stage stage) const;
 
   void SetStatus(int status) {
@@ -118,18 +164,20 @@ class RequestContext {
   }
   int status() const { return status_.load(std::memory_order_relaxed); }
 
-  /// Links the shared batch span (called once by the batcher thread).
-  void LinkBatch(std::shared_ptr<BatchSpan> span);
-  std::shared_ptr<BatchSpan> batch() const;
+  /// Owned copy of the breakdown so far. In flight, e2e is the age and
+  /// other_ms stays 0; a finished record carries other_ms and the error flag.
+  RequestRecord Record(bool in_flight) const;
 
  private:
+  friend class BatchAttribution;  // max-merges queue_wait, links batch_
+
   const uint64_t trace_id_;
   const Clock::time_point start_;
   std::atomic<int64_t> stage_ns_[kStageCount] = {};
   std::atomic<int> status_{0};
   char endpoint_[32] = {};
   mutable std::mutex mutex_;  // guards endpoint_ + batch_
-  std::shared_ptr<BatchSpan> batch_;
+  std::shared_ptr<internal::SharedBatch> batch_;  ///< the last batch ridden
 };
 
 std::shared_ptr<RequestContext> StartRequestSlow();
@@ -174,27 +222,6 @@ class StageTimer {
 // ---------------------------------------------------------------------------
 // Tail store — in-flight registry + slowest-K reservoir + error retention
 
-/// Owned copy of one request's breakdown, for /rpcz and tests.
-struct RequestRecord {
-  uint64_t trace_id = 0;
-  std::string trace_id_hex;
-  std::string endpoint;
-  int status = 0;
-  bool in_flight = false;
-  bool error = false;
-  double start_unix_seconds = 0.0;
-  double e2e_ms = 0.0;  ///< in-flight: age so far
-  double stage_ms[kStageCount] = {};
-  double other_ms = 0.0;  ///< e2e − Σ stages (finished records only)
-  bool has_batch = false;
-  uint64_t batch_id = 0;
-  int batch_size = 0;
-  std::string fire_reason;
-  double batch_compute_ms = 0.0;
-  bool int8_active = false;
-  std::vector<std::string> sibling_trace_ids;  ///< hex, self excluded
-};
-
 std::vector<RequestRecord> SnapshotInFlight();
 /// Retained records (slowest-K ∪ recent errors), slowest first.
 std::vector<RequestRecord> SnapshotRetained();
@@ -202,7 +229,6 @@ std::vector<RequestRecord> SnapshotRetained();
 /// the id was never retained — the tail-sampling policy is allowed to have
 /// dropped it.
 bool FindRetained(uint64_t trace_id, RequestRecord* out);
-bool FindRetainedHex(const std::string& hex, RequestRecord* out);
 
 /// Parses a 1–16 digit lowercase/uppercase hex trace id; 0 on failure
 /// (0 is never a valid trace id).

@@ -1,7 +1,6 @@
 #include "util/trace.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -21,24 +20,16 @@ std::atomic<bool> g_enabled{false};
 
 namespace {
 
-// Events per thread ring. 1 << 15 events ≈ 6 MB/thread with four typed arg
+// Events per thread ring. 1 << 15 events ≈ 4 MB/thread with four typed arg
 // slots per event; a wrap drops the oldest events and is counted, never
 // silent.
 constexpr size_t kRingCapacity = 1 << 15;
-constexpr size_t kNameCapacity = 64;
 
 struct Event {
-  // Either a literal pointer (name_literal) or an inline copy (name_copy,
-  // used when name_literal == nullptr).
-  const char* name_literal = nullptr;
-  char name_copy[kNameCapacity];
+  const char* name = nullptr;  // a literal or an InternString pointer
   SpanArg args[kMaxSpanArgs];  // unused slots have a null name
   int64_t ts_ns = 0;           // relative to the trace epoch
   int64_t dur_ns = 0;
-
-  const char* name() const {
-    return name_literal != nullptr ? name_literal : name_copy;
-  }
 };
 
 struct ThreadBuffer {
@@ -164,20 +155,7 @@ const char* InternString(std::string_view s) {
 void RecordSpan(const char* name, Clock::time_point begin,
                 Clock::time_point end, const SpanArg* args, int num_args) {
   Event event;
-  event.name_literal = name;
-  FillEvent(&event, begin, end, args, num_args);
-  ThreadBuffer& buffer = LocalBuffer();
-  const bool was_full = buffer.ring.size() >= kRingCapacity;
-  buffer.Append(event);
-  if (was_full) CountDropIfWrapped(buffer);
-}
-
-void RecordSpanCopy(const std::string& name, Clock::time_point begin,
-                    Clock::time_point end, const SpanArg* args,
-                    int num_args) {
-  Event event;
-  std::strncpy(event.name_copy, name.c_str(), kNameCapacity - 1);
-  event.name_copy[kNameCapacity - 1] = '\0';
+  event.name = name;
   FillEvent(&event, begin, end, args, num_args);
   ThreadBuffer& buffer = LocalBuffer();
   const bool was_full = buffer.ring.size() >= kRingCapacity;
@@ -260,7 +238,7 @@ Status WriteJson(const std::string& path) {
         << json::NumberToString(static_cast<double>(event.ts_ns) / 1000.0)
         << ", \"dur\": "
         << json::NumberToString(static_cast<double>(event.dur_ns) / 1000.0)
-        << ", \"cat\": \"emba\", \"name\": \"" << json::Escape(event.name())
+        << ", \"cat\": \"emba\", \"name\": \"" << json::Escape(event.name)
         << "\"";
     AppendArgsJson(&out, event.args);
     out << "}";
@@ -280,7 +258,7 @@ std::string RecentEventsJson(size_t max_events) {
   for (size_t i = first; i < events.size(); ++i) {
     const Event& event = events[i].event;
     out << (i == first ? "\n" : ",\n") << "  {\"name\": \""
-        << json::Escape(event.name()) << "\", \"tid\": " << events[i].tid
+        << json::Escape(event.name) << "\", \"tid\": " << events[i].tid
         << ", \"ts_ns\": " << event.ts_ns << ", \"dur_ns\": " << event.dur_ns;
     AppendArgsJson(&out, event.args);
     out << "}";

@@ -31,8 +31,7 @@
 // InternString(), which copies them into a process-lifetime pool once and
 // returns a stable pointer.
 //
-// Span names must be string literals (or otherwise outlive the process);
-// dynamic names go through the fixed-size copy of RecordSpanCopy.
+// Span names follow the same rule: a literal, or an InternString() pointer.
 #pragma once
 
 #include <atomic>
@@ -115,12 +114,6 @@ void RecordSpan(const char* name, Clock::time_point begin,
                 Clock::time_point end, const SpanArg* args = nullptr,
                 int num_args = 0);
 
-/// As RecordSpan but copies `name` into the event (for dynamic names such as
-/// "bench/train_once/<model>"); truncated to the event's fixed capacity.
-void RecordSpanCopy(const std::string& name, Clock::time_point begin,
-                    Clock::time_point end, const SpanArg* args = nullptr,
-                    int num_args = 0);
-
 /// Merges all thread buffers into one Chrome trace-event JSON object
 /// ({"traceEvents": [...], "displayTimeUnit": "ms"}) and writes it
 /// atomically. Events are sorted by timestamp. Works whether or not the
@@ -171,38 +164,6 @@ class ScopedSpan {
 
  private:
   const char* name_ = nullptr;
-  SpanArg args_[kMaxSpanArgs];
-  Clock::time_point begin_;
-};
-
-/// As ScopedSpan, for dynamic (non-literal) names. The name is copied at
-/// construction only when tracing is enabled; disabled cost is one relaxed
-/// load, a branch, and an empty std::string.
-class ScopedSpanCopy {
- public:
-  explicit ScopedSpanCopy(std::string name, SpanArg a0 = {}, SpanArg a1 = {},
-                          SpanArg a2 = {}, SpanArg a3 = {}) {
-    if (Enabled()) {
-      name_ = std::move(name);
-      active_ = true;
-      args_[0] = a0;
-      args_[1] = a1;
-      args_[2] = a2;
-      args_[3] = a3;
-      begin_ = Clock::now();
-    }
-  }
-  ~ScopedSpanCopy() {
-    if (active_) {
-      RecordSpanCopy(name_, begin_, Clock::now(), args_, kMaxSpanArgs);
-    }
-  }
-  ScopedSpanCopy(const ScopedSpanCopy&) = delete;
-  ScopedSpanCopy& operator=(const ScopedSpanCopy&) = delete;
-
- private:
-  std::string name_;
-  bool active_ = false;
   SpanArg args_[kMaxSpanArgs];
   Clock::time_point begin_;
 };

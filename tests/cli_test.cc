@@ -1,6 +1,6 @@
-// Tier-1 test for tools/emba_cli's numeric flags: runs the real binary.
-// A malformed or out-of-range value must exit 1 and name the flag before
-// any subcommand runs; well-formed values still work.
+// Tier-1 test for the numeric flags of tools/emba_cli and bench/serve_bench:
+// runs the real binaries. A malformed or out-of-range value must exit 1 and
+// name the flag before any subcommand runs; well-formed values still work.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -13,6 +13,9 @@
 #ifndef EMBA_CLI
 #error "EMBA_CLI must name the emba_cli binary"
 #endif
+#ifndef EMBA_SERVE_BENCH
+#error "EMBA_SERVE_BENCH must name the serve_bench binary"
+#endif
 
 namespace emba {
 namespace {
@@ -22,9 +25,9 @@ struct CliRun {
   std::string output;  ///< stdout and stderr
 };
 
-CliRun RunCli(const std::string& args) {
+CliRun RunBinary(const char* binary, const std::string& args) {
   CliRun run;
-  const std::string command = std::string(EMBA_CLI) + " " + args + " 2>&1";
+  const std::string command = std::string(binary) + " " + args + " 2>&1";
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) return run;
   char buf[4096];
@@ -36,6 +39,8 @@ CliRun RunCli(const std::string& args) {
   if (WIFEXITED(status)) run.exit_code = WEXITSTATUS(status);
   return run;
 }
+
+CliRun RunCli(const std::string& args) { return RunBinary(EMBA_CLI, args); }
 
 class CliFlagsTest : public ::testing::Test {
  protected:
@@ -83,6 +88,18 @@ TEST_F(CliFlagsTest, MalformedServeFlagsExitOneBeforeLoading) {
         "--batch-deadline-us -5"}) {
     const CliRun run = RunCli("serve " + prefix_ + " emba " + prefix_ +
                               ".bin " + flags);
+    EXPECT_EQ(run.exit_code, 1) << flags << "\n" << run.output;
+    const std::string flag = std::string(flags).substr(
+        0, std::string(flags).find(' '));
+    EXPECT_NE(run.output.find(flag + " requires"), std::string::npos)
+        << run.output;
+  }
+}
+
+TEST_F(CliFlagsTest, ServeBenchRejectsTrailingGarbage) {
+  // atof/atoi would read these as 0.2 and 2 and start a load run.
+  for (const char* flags : {"--duration 0.2x", "--senders 2x"}) {
+    const CliRun run = RunBinary(EMBA_SERVE_BENCH, flags);
     EXPECT_EQ(run.exit_code, 1) << flags << "\n" << run.output;
     const std::string flag = std::string(flags).substr(
         0, std::string(flags).find(' '));

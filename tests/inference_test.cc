@@ -109,7 +109,7 @@ core::ModelOutput GradModeForward(const core::EmModel& model,
 TEST(InferenceFastPath, BitIdenticalToGradModeAcrossModelShapes) {
   // Covers every em-head variant: AOA + aux heads (emba), plain [CLS]
   // (bert), [CLS] + aux heads (jointbert), and DITTO-serialized input.
-  for (const std::string& name : {"emba", "bert", "jointbert", "ditto"}) {
+  for (const char* name : {"emba", "bert", "jointbert", "ditto"}) {
     auto model = MakeEvalModel(name);
     const auto& samples = SamplesFor(name);
     const size_t n = std::min<size_t>(samples.size(), 6);

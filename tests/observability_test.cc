@@ -181,12 +181,13 @@ TEST_F(ObservabilityTest, SpanNestingIsContainedInExport) {
   std::filesystem::remove(path);
 }
 
-TEST_F(ObservabilityTest, DynamicSpanNamesAreCopied) {
+TEST_F(ObservabilityTest, InternedSpanNamesSurviveExport) {
   trace::Start();
   {
     std::string name = "test/dynamic_";
     name += "abc";
-    trace::ScopedSpanCopy span(name);
+    trace::ScopedSpan span(trace::InternString(name));
+    name.assign(name.size(), 'x');  // the span must not point at this buffer
   }
   trace::Stop();
   const std::string path = "/tmp/emba_observability_dynamic.json";

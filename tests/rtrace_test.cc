@@ -5,6 +5,8 @@
 //
 // The serving-path integration (X-Emba-Trace-Id over HTTP, shared batch
 // spans, /rpcz lookups) lives in tests/serve_test.cc.
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -81,11 +83,6 @@ TEST_F(RtraceTest, StageAccumulationSemantics) {
   ctx.AddStageNs(rtrace::Stage::kParse, 100);
   ctx.AddStageNs(rtrace::Stage::kParse, 250);  // sums: fed from two regions
   EXPECT_EQ(ctx.StageNs(rtrace::Stage::kParse), 350);
-
-  ctx.MergeStageMaxNs(rtrace::Stage::kQueueWait, 500);
-  ctx.MergeStageMaxNs(rtrace::Stage::kQueueWait, 300);  // keeps the max
-  ctx.MergeStageMaxNs(rtrace::Stage::kQueueWait, 900);
-  EXPECT_EQ(ctx.StageNs(rtrace::Stage::kQueueWait), 900);
 }
 
 TEST_F(RtraceTest, SlowestReservoirEvictsFastest) {
@@ -155,40 +152,135 @@ TEST_F(RtraceTest, InFlightRecordsVisibleBeforeFinish) {
 
   // FindRetained falls back to the in-flight table.
   rtrace::RequestRecord rec;
-  ASSERT_TRUE(rtrace::FindRetainedHex(ctx->trace_id_hex(), &rec));
+  ASSERT_TRUE(rtrace::FindRetained(
+      rtrace::ParseTraceIdHex(ctx->trace_id_hex()), &rec));
   EXPECT_TRUE(rec.in_flight);
   rtrace::FinishRequest(ctx, 200);
 }
 
-TEST_F(RtraceTest, BatchSpanLinksSiblings) {
+TEST_F(RtraceTest, BatchAttributionLinksSiblingsAndChargesStages) {
+  using std::chrono::milliseconds;
   rtrace::SetEnabled(true);
   auto a = rtrace::StartRequest();
   auto b = rtrace::StartRequest();
 
-  auto span = rtrace::BeginBatch("deadline", 2);
-  EXPECT_GT(span->batch_id, 0u);
-  span->member_trace_ids = {a->trace_id(), b->trace_id()};
-  a->LinkBatch(span);
-  b->LinkBatch(span);
-  span->compute_ns.store(2000000, std::memory_order_relaxed);  // 2 ms
+  // `a` is a two-sample group parked 3 ms and 1 ms before the dequeue, `b`
+  // one sample parked at the dequeue, plus one untraced sample.
+  const rtrace::Clock::time_point t0 = rtrace::Clock::now();
+  const rtrace::Clock::time_point dequeue = t0 + milliseconds(3);
+  const std::vector<rtrace::BatchMember> members = {
+      {a, t0}, {nullptr, t0}, {a, t0 + milliseconds(2)}, {b, dequeue}};
+  rtrace::BatchAttribution batch = rtrace::BatchAttribution::Open(
+      members, dequeue, "deadline", /*int8_active=*/true);
+  // Form 1 ms, compute 2 ms.
+  batch.Close(dequeue + milliseconds(1), dequeue + milliseconds(3));
 
   rtrace::FinishRequest(a, 200);
   rtrace::FinishRequest(b, 200);
+  const auto stage_ms = [](const rtrace::RequestRecord& rec,
+                           rtrace::Stage stage) {
+    return rec.stage_ms[static_cast<int>(stage)];
+  };
 
   rtrace::RequestRecord rec;
   ASSERT_TRUE(rtrace::FindRetained(a->trace_id(), &rec));
   ASSERT_TRUE(rec.has_batch);
-  EXPECT_EQ(rec.batch_id, span->batch_id);
-  EXPECT_EQ(rec.batch_size, 2);
+  EXPECT_GT(rec.batch_id, 0u);
+  EXPECT_EQ(rec.batch_size, 4);
   EXPECT_EQ(rec.fire_reason, "deadline");
+  EXPECT_TRUE(rec.int8_active);
   EXPECT_NEAR(rec.batch_compute_ms, 2.0, 1e-9);
-  // Siblings exclude self.
+  // Siblings exclude self and list each request once.
   ASSERT_EQ(rec.sibling_trace_ids.size(), 1u);
   EXPECT_EQ(rec.sibling_trace_ids[0], b->trace_id_hex());
+  // A group's queue wait is its critical path (the max over its samples);
+  // form and compute are charged once per request, not once per sample.
+  EXPECT_NEAR(stage_ms(rec, rtrace::Stage::kQueueWait), 3.0, 1e-9);
+  EXPECT_NEAR(stage_ms(rec, rtrace::Stage::kBatchForm), 1.0, 1e-9);
+  EXPECT_NEAR(stage_ms(rec, rtrace::Stage::kCompute), 2.0, 1e-9);
 
-  // Batch ids are process-monotonic.
-  auto next = rtrace::BeginBatch("full", 1);
-  EXPECT_GT(next->batch_id, span->batch_id);
+  rtrace::RequestRecord rec_b;
+  ASSERT_TRUE(rtrace::FindRetained(b->trace_id(), &rec_b));
+  EXPECT_EQ(rec_b.batch_id, rec.batch_id);
+  ASSERT_EQ(rec_b.sibling_trace_ids.size(), 1u);
+  EXPECT_EQ(rec_b.sibling_trace_ids[0], a->trace_id_hex());
+  EXPECT_EQ(stage_ms(rec_b, rtrace::Stage::kQueueWait), 0.0);
+  EXPECT_NEAR(stage_ms(rec_b, rtrace::Stage::kCompute), 2.0, 1e-9);
+
+  // Batch ids are process-monotonic; a batch with no traced member is not
+  // recorded and its Close is a no-op.
+  rtrace::BatchAttribution::Open({{nullptr, t0}}, dequeue, "full", false)
+      .Close(dequeue, dequeue);
+  auto c = rtrace::StartRequest();
+  rtrace::BatchAttribution::Open({{c, dequeue}}, dequeue, "full", false)
+      .Close(dequeue, dequeue);
+  rtrace::FinishRequest(c, 200);
+  rtrace::RequestRecord rec_c;
+  ASSERT_TRUE(rtrace::FindRetained(c->trace_id(), &rec_c));
+  EXPECT_EQ(rec_c.batch_id, rec.batch_id + 1);
+  EXPECT_TRUE(rec_c.sibling_trace_ids.empty());
+}
+
+// The batcher thread attributes batches while /rpcz snapshots in-flight
+// records; a reader must never see a linked batch half-filled (run under
+// ThreadSanitizer by the tier-1 TSan pass).
+TEST_F(RtraceTest, SnapshotsRaceBatchAttributionSafely) {
+  rtrace::SetEnabled(true);
+  std::vector<std::shared_ptr<rtrace::RequestContext>> ctxs;
+  for (int i = 0; i < 4; ++i) ctxs.push_back(rtrace::StartRequest());
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load()) {
+      for (const rtrace::RequestRecord& rec : rtrace::SnapshotInFlight()) {
+        if (rec.has_batch) {
+          EXPECT_EQ(rec.sibling_trace_ids.size(), 3u);
+        }
+      }
+    }
+  });
+  for (int b = 0; b < 200; ++b) {
+    const rtrace::Clock::time_point now = rtrace::Clock::now();
+    std::vector<rtrace::BatchMember> members;
+    for (const auto& ctx : ctxs) members.push_back({ctx, now});
+    rtrace::BatchAttribution::Open(members, now, "full", false)
+        .Close(now, rtrace::Clock::now());
+  }
+  done.store(true);
+  reader.join();
+  for (const auto& ctx : ctxs) rtrace::FinishRequest(ctx, 200);
+}
+
+TEST_F(RtraceTest, RecordJsonKeepsKeysNestingAndOrder) {
+  rtrace::RequestRecord rec;
+  rec.trace_id_hex = "00000000000000ab";
+  rec.endpoint = "/match";
+  rec.status = 200;
+  rec.start_unix_seconds = 1700000000.5;
+  rec.e2e_ms = 12.5;
+  const double stages[rtrace::kStageCount] = {0.25, 1, 0.5, 8, 0.125};
+  std::copy(stages, stages + rtrace::kStageCount, rec.stage_ms);
+  rec.other_ms = 2.625;
+  EXPECT_EQ(rtrace::RecordJson(rec),
+            "{\"trace_id\": \"00000000000000ab\", \"endpoint\": \"/match\", "
+            "\"status\": 200, \"in_flight\": false, \"error\": false, "
+            "\"start_unix_seconds\": 1700000000.5, \"e2e_ms\": 12.5, "
+            "\"stages_ms\": {\"parse\": 0.25, \"queue_wait\": 1, "
+            "\"batch_form\": 0.5, \"compute\": 8, \"serialize\": 0.125, "
+            "\"other\": 2.625}}");
+
+  rec.has_batch = true;
+  rec.batch_id = 7;
+  rec.batch_size = 3;
+  rec.fire_reason = "deadline";
+  rec.batch_compute_ms = 8;
+  rec.int8_active = true;
+  rec.sibling_trace_ids = {"00000000000000cd", "00000000000000ef"};
+  const std::string json = rtrace::RecordJson(rec);
+  EXPECT_EQ(json.substr(json.find(", \"batch\"")),
+            ", \"batch\": {\"id\": 7, \"size\": 3, \"fire_reason\": "
+            "\"deadline\", \"compute_ms\": 8, \"int8\": true, "
+            "\"sibling_trace_ids\": [\"00000000000000cd\", "
+            "\"00000000000000ef\"]}}");
 }
 
 TEST_F(RtraceTest, AccessLogWritesJsonLines) {
@@ -200,6 +292,10 @@ TEST_F(RtraceTest, AccessLogWritesJsonLines) {
   auto ctx = rtrace::StartRequest();
   ctx->SetEndpoint("/match");
   ctx->AddStageNs(rtrace::Stage::kParse, 500000);
+  const rtrace::Clock::time_point now = rtrace::Clock::now();
+  rtrace::BatchAttribution::Open({{ctx, now}}, now, "deadline",
+                                 /*int8_active=*/false)
+      .Close(now, now);
   rtrace::FinishRequest(ctx, 200);
   ASSERT_TRUE(rtrace::FlushAccessLog().ok());
 
@@ -212,6 +308,7 @@ TEST_F(RtraceTest, AccessLogWritesJsonLines) {
   EXPECT_NE(line.find("\"status\": 200"), std::string::npos);
   EXPECT_NE(line.find("\"stages_ms\""), std::string::npos);
   EXPECT_NE(line.find("\"parse\": 0.5"), std::string::npos);
+  EXPECT_NE(line.find("\"fire_reason\": \"deadline\""), std::string::npos);
   EXPECT_NE(line.find("\"int8\": false"), std::string::npos);
   EXPECT_FALSE(std::getline(in, line));  // exactly one line
   EXPECT_EQ(metrics::GetCounter("serve.access_log.lines").Value(), 1u);

@@ -19,8 +19,10 @@
 #include <chrono>
 #include <clocale>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -798,7 +800,7 @@ TEST(MatchServiceTest, TracingAttributesStagesBatchSiblingsAndExemplars) {
 
   // The slow (deadline-parked) request is retained and retrievable by id.
   rtrace::RequestRecord record;
-  ASSERT_TRUE(rtrace::FindRetainedHex(hex[0], &record))
+  ASSERT_TRUE(rtrace::FindRetained(rtrace::ParseTraceIdHex(hex[0]), &record))
       << "trace " << hex[0] << " not retained";
   EXPECT_EQ(record.endpoint, "/match");
   EXPECT_EQ(record.status, 200);
@@ -854,6 +856,66 @@ TEST(MatchServiceTest, TracingAttributesStagesBatchSiblingsAndExemplars) {
       << "no exemplar references either request's trace id";
 
   service.Shutdown();
+  rtrace::SetEnabled(false);
+  rtrace::ResetForTest();
+}
+
+// The access log and /rpcz write a record through one writer: a served
+// request's access-log line is exactly its /rpcz?trace_id= body (minus the
+// trailing newline), batch and siblings included.
+TEST(MatchServiceTest, AccessLogLineEqualsRpczRecord) {
+  TinyWorld& world = World();
+  rtrace::ResetForTest();
+  rtrace::SetEnabled(true);
+  const std::string log_path = "/tmp/emba_serve_access_log_rpcz.jsonl";
+  std::remove(log_path.c_str());
+  ASSERT_TRUE(rtrace::SetAccessLogPath(log_path).ok());
+
+  serve::ServeConfig config;
+  config.batcher.batch_deadline_us = 1000;
+  config.http_workers = 2;
+  serve::MatchService service = MakeService(config);
+  ASSERT_TRUE(service.Start(0).ok());
+
+  const std::string left = world.catalog[0].Description();
+  const std::string right = world.catalog[1].Description();
+  auto match = HttpPost(service.port(), "/match", MatchBody(left, right));
+  auto dedupe = HttpPost(service.port(), "/dedupe",
+                         "{\"record\": \"" + json::Escape(left) + "\"}");
+  ASSERT_TRUE(match.ok() && dedupe.ok());
+  ASSERT_EQ(match->status, 200);
+  ASSERT_EQ(dedupe->status, 200);
+  const std::string ids[] = {match->headers.at("x-emba-trace-id"),
+                             dedupe->headers.at("x-emba-trace-id")};
+
+  // A request's line is written when its connection finishes, which may
+  // trail the response the client already holds.
+  std::map<std::string, std::string> lines;
+  for (int attempt = 0; attempt < 500 && lines.size() < 2; ++attempt) {
+    ASSERT_TRUE(rtrace::FlushAccessLog().ok());
+    std::ifstream in(log_path);
+    std::string line;
+    while (std::getline(in, line)) {
+      auto parsed = json::Parse(line);
+      ASSERT_TRUE(parsed.ok()) << line;
+      lines[parsed->Find("trace_id")->AsString()] = line;
+    }
+    if (lines.size() < 2) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  for (const std::string& id : ids) {
+    ASSERT_TRUE(lines.count(id)) << "no access-log line for " << id;
+    auto rpcz = HttpGet(service.port(), "/rpcz?trace_id=" + id);
+    ASSERT_TRUE(rpcz.ok());
+    ASSERT_EQ(rpcz->status, 200);
+    EXPECT_EQ(rpcz->body, lines[id] + "\n");
+    EXPECT_NE(lines[id].find("\"batch\": {\"id\": "), std::string::npos);
+  }
+
+  service.Shutdown();
+  ASSERT_TRUE(rtrace::SetAccessLogPath("").ok());
+  std::remove(log_path.c_str());
   rtrace::SetEnabled(false);
   rtrace::ResetForTest();
 }
