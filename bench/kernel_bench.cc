@@ -165,12 +165,9 @@ int main(int argc, char** argv) {
   std::string json_path = "kernel_bench.json";
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--threads") == 0 && a + 1 < argc) {
-      const char* text = argv[++a];
-      const auto value = env::ParseInt(text, 1, 1024);
-      if (!value) {
-        std::fprintf(stderr,
-                     "error: --threads requires an integer in [1, 1024], "
-                     "got '%s'\n", text);
+      const auto value = env::ParseIntFlag("--threads", argv[++a], 1, 1024);
+      if (!value.ok()) {
+        std::fprintf(stderr, "error: %s\n", value.status().message().c_str());
         return 1;
       }
       threads = static_cast<int>(*value);

@@ -138,27 +138,18 @@ int main(int argc, char** argv) {
     };
     // Numeric values parse in full and within bounds; anything else exits
     // 1 naming the flag.
-    auto number = [&](const char* flag, double lo, double hi) {
-      const char* text = next(flag);
-      const auto value = env::ParseDouble(text, lo, hi);
-      if (!value) {
-        std::fprintf(stderr,
-                     "error: %s requires a number in [%g, %g], got '%s'\n",
-                     flag, lo, hi, text);
+    auto or_exit = [](const auto& value) {
+      if (!value.ok()) {
+        std::fprintf(stderr, "error: %s\n", value.status().message().c_str());
         std::exit(1);
       }
       return *value;
     };
+    auto number = [&](const char* flag, double lo, double hi) {
+      return or_exit(env::ParseDoubleFlag(flag, next(flag), lo, hi));
+    };
     auto integer = [&](const char* flag, int64_t lo, int64_t hi) {
-      const char* text = next(flag);
-      const auto value = env::ParseInt(text, lo, hi);
-      if (!value) {
-        std::fprintf(
-            stderr, "error: %s requires an integer in [%lld, %lld], got '%s'\n",
-            flag, static_cast<long long>(lo), static_cast<long long>(hi), text);
-        std::exit(1);
-      }
-      return *value;
+      return or_exit(env::ParseIntFlag(flag, next(flag), lo, hi));
     };
     if (std::strcmp(argv[a], "--duration") == 0) {
       opt.duration_s = number("--duration", 1e-3, 86400.0);

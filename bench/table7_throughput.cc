@@ -219,14 +219,10 @@ int main(int argc, char** argv) {
   // Numeric flags parse in full and within bounds, else exit 1.
   const auto integer = [](const char* flag, const char* text, int64_t lo,
                           int64_t hi) -> std::optional<int64_t> {
-    const auto value = env::ParseInt(text, lo, hi);
-    if (!value) {
-      std::fprintf(stderr,
-                   "error: %s requires an integer in [%lld, %lld], got '%s'\n",
-                   flag, static_cast<long long>(lo),
-                   static_cast<long long>(hi), text);
-    }
-    return value;
+    const auto value = env::ParseIntFlag(flag, text, lo, hi);
+    if (value.ok()) return *value;
+    std::fprintf(stderr, "error: %s\n", value.status().message().c_str());
+    return std::nullopt;
   };
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--threads") == 0 && a + 1 < argc) {

@@ -29,7 +29,7 @@ metrics::Histogram& QueueWaitHistogram() {
   return h;
 }
 
-// Single registration point for the queue-depth gauge — Submit and Loop
+// Single registration point for the queue-depth gauge — SubmitGroup and Loop
 // both publish it, and duplicated GetGauge call sites had already drifted
 // into registering it twice.
 metrics::Gauge& QueueDepthGauge() {
@@ -49,15 +49,6 @@ DynamicBatcher::DynamicBatcher(ScoreFn score_fn, BatcherConfig config)
 }
 
 DynamicBatcher::~DynamicBatcher() { Drain(); }
-
-Result<std::future<double>> DynamicBatcher::Submit(
-    core::PairSample sample, std::shared_ptr<rtrace::RequestContext> ctx) {
-  std::vector<core::PairSample> group;
-  group.push_back(std::move(sample));
-  auto futures = SubmitGroup(std::move(group), std::move(ctx));
-  if (!futures.ok()) return futures.status();
-  return std::move((*futures)[0]);
-}
 
 Result<std::vector<std::future<double>>> DynamicBatcher::SubmitGroup(
     std::vector<core::PairSample> samples,

@@ -62,26 +62,21 @@ class DynamicBatcher {
   DynamicBatcher(const DynamicBatcher&) = delete;
   DynamicBatcher& operator=(const DynamicBatcher&) = delete;
 
-  /// Admits one sample. The future yields its score (or rethrows the
+  /// All-or-nothing admission of one request's samples (one for /match, a
+  /// /dedupe request's candidates): either every sample is parked — possibly
+  /// spread across several formed batches — or none is and the group is
+  /// rejected as a unit. Future i yields sample i's score (or rethrows the
   /// ScoreFn's exception). ResourceExhausted when the queue is full,
   /// Unavailable when draining. `ctx` (optional) is the submitting request's
-  /// trace context, handed to rtrace's batch attribution when the sample is
-  /// scored.
-  Result<std::future<double>> Submit(
-      core::PairSample sample,
-      std::shared_ptr<rtrace::RequestContext> ctx = nullptr);
-
-  /// All-or-nothing group admission (one /dedupe request's candidates):
-  /// either every sample is parked — possibly spread across several formed
-  /// batches — or none is and the group is rejected as a unit. The group
-  /// shares one `ctx`.
+  /// trace context, handed to rtrace's batch attribution when its samples
+  /// are scored.
   Result<std::vector<std::future<double>>> SubmitGroup(
       std::vector<core::PairSample> samples,
       std::shared_ptr<rtrace::RequestContext> ctx = nullptr);
 
   /// Stops admission (Unavailable from now on), scores every parked
   /// request, and joins the batcher thread. Idempotent; safe to call
-  /// concurrently with Submit.
+  /// concurrently with SubmitGroup.
   void Drain();
 
   /// Parked (admitted, not yet scored) requests right now.

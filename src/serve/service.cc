@@ -78,6 +78,27 @@ struct EndpointMetrics {
   metrics::Histogram& e2e;
 };
 
+http::HttpResponse BadRequest(const EndpointMetrics& m, const Status& status) {
+  m.bad_requests.Increment();
+  return JsonError(400, status.message());
+}
+
+// The body parse, timed as part of the request's parse stage.
+Result<json::Value> ParseBody(const http::HttpRequest& request) {
+  rtrace::StageTimer parse_timer(request.trace.get(), rtrace::Stage::kParse);
+  return json::Parse(request.body);
+}
+
+// serve.<endpoint>.e2e_ms, with the trace id as exemplar when traced.
+void ObserveE2e(const EndpointMetrics& m, const Stopwatch& timer,
+                const rtrace::RequestContext* ctx) {
+  if (ctx != nullptr) {
+    m.e2e.ObserveWithExemplar(timer.ElapsedMillis(), ctx->trace_id());
+  } else {
+    m.e2e.Observe(timer.ElapsedMillis());
+  }
+}
+
 /// Required string member of a parsed body; InvalidArgument otherwise.
 Result<std::string> RequiredString(const json::Value& body,
                                    const std::string& key) {
@@ -202,110 +223,82 @@ http::HttpResponse MatchService::Handle(const http::HttpRequest& request) {
       resp.extra_headers.emplace_back("Allow", "POST");
       return resp;
     }
-    return HandleScoring(request);
+    return request.path == "/match" ? HandleMatch(request)
+                                    : HandleDedupe(request);
   }
   // Everything else is the observability endpoint table (or its 404).
   return HandleObservabilityRequest(request);
 }
 
-http::HttpResponse MatchService::HandleScoring(
+http::HttpResponse MatchService::HandleMatch(
     const http::HttpRequest& request) {
-  static const EndpointMetrics match_metrics("match");
-  static const EndpointMetrics dedupe_metrics("dedupe");
-  const bool is_match = request.path == "/match";
-  const EndpointMetrics& m = is_match ? match_metrics : dedupe_metrics;
+  static const EndpointMetrics m("match");
   m.requests.Increment();
   Stopwatch timer;
   rtrace::RequestContext* ctx = request.trace.get();
 
-  Result<json::Value> body = [&] {
-    rtrace::StageTimer parse_timer(ctx, rtrace::Stage::kParse);
-    return json::Parse(request.body);
-  }();
-  Result<ScoringPlan> plan =
-      !body.ok() ? body.status()
-                 : (is_match ? PlanMatch(*body) : PlanDedupe(*body));
-  if (!plan.ok()) {
-    m.bad_requests.Increment();
-    return JsonError(400, plan.status().message());
+  Result<json::Value> body = ParseBody(request);
+  if (!body.ok()) return BadRequest(m, body.status());
+  auto left = RequiredString(*body, "left");
+  auto right = RequiredString(*body, "right");
+  if (!left.ok() || !right.ok()) {
+    return BadRequest(m, (left.ok() ? right : left).status());
   }
 
+  data::LabeledPair pair;
+  pair.left = RecordFromText(*left);
+  pair.right = RecordFromText(*right);
+  std::vector<core::PairSample> samples;
+  samples.push_back(core::EncodePair(*encoding_, pair, model_->input_style()));
   std::vector<double> scores;
-  if (!plan->samples.empty()) {
-    if (draining_.load(std::memory_order_acquire)) {
-      m.rejected.Increment();
-      return RejectionResponse(Status::Unavailable("matcher is draining"),
-                               config_.batcher);
-    }
-    auto futures =
-        batcher_->SubmitGroup(std::move(plan->samples), request.trace);
-    if (!futures.ok()) {
-      m.rejected.Increment();
-      return RejectionResponse(futures.status(), config_.batcher);
-    }
-    scores.reserve(futures->size());
-    try {
-      for (auto& future : *futures) scores.push_back(future.get());
-    } catch (const std::exception& e) {
-      return JsonError(500, std::string("scoring failed: ") + e.what());
-    }
+  if (auto error = ScoreGroup(std::move(samples), request.trace, m.rejected,
+                              &scores)) {
+    return *error;
   }
 
   http::HttpResponse resp;
   resp.content_type = "application/json";
   {
     rtrace::StageTimer serialize_timer(ctx, rtrace::Stage::kSerialize);
-    resp.body = plan->render(scores);
-  }
-  if (ctx != nullptr) {
-    m.e2e.ObserveWithExemplar(timer.ElapsedMillis(), ctx->trace_id());
-  } else {
-    m.e2e.Observe(timer.ElapsedMillis());
-  }
-  return resp;
-}
-
-Result<MatchService::ScoringPlan> MatchService::PlanMatch(
-    const json::Value& body) const {
-  auto left = RequiredString(body, "left");
-  auto right = RequiredString(body, "right");
-  if (!left.ok() || !right.ok()) return (left.ok() ? right : left).status();
-
-  data::LabeledPair pair;
-  pair.left = RecordFromText(*left);
-  pair.right = RecordFromText(*right);
-  ScoringPlan plan;
-  plan.samples.push_back(
-      core::EncodePair(*encoding_, pair, model_->input_style()));
-  plan.render = [threshold = config_.match_threshold](
-                    const std::vector<double>& scores) {
     const double probability = scores[0];
     std::ostringstream out;
     out << "{\"match_probability\": " << json::NumberToString(probability)
-        << ", \"match\": " << (probability >= threshold ? "true" : "false")
-        << ", \"threshold\": " << json::NumberToString(threshold) << "}\n";
-    return out.str();
-  };
-  return plan;
+        << ", \"match\": "
+        << (probability >= config_.match_threshold ? "true" : "false")
+        << ", \"threshold\": " << json::NumberToString(config_.match_threshold)
+        << "}\n";
+    resp.body = out.str();
+  }
+  ObserveE2e(m, timer, ctx);
+  return resp;
 }
 
-Result<MatchService::ScoringPlan> MatchService::PlanDedupe(
-    const json::Value& body) const {
+http::HttpResponse MatchService::HandleDedupe(
+    const http::HttpRequest& request) {
+  static const EndpointMetrics m("dedupe");
   static metrics::Histogram& candidates_hist = metrics::GetHistogram(
       "serve.dedupe.candidates", metrics::ExponentialBuckets(1.0, 2.0, 12));
-  auto record_text = RequiredString(body, "record");
-  if (!record_text.ok()) return record_text.status();
+  m.requests.Increment();
+  Stopwatch timer;
+  rtrace::RequestContext* ctx = request.trace.get();
+
+  Result<json::Value> body = ParseBody(request);
+  if (!body.ok()) return BadRequest(m, body.status());
+  auto record_text = RequiredString(*body, "record");
+  if (!record_text.ok()) return BadRequest(m, record_text.status());
   size_t top_k = static_cast<size_t>(config_.dedupe_top_k);
-  if (const json::Value* v = body.Find("top_k")) {
+  if (const json::Value* v = body->Find("top_k")) {
     if (!v->is_number() || v->AsNumber() < 1.0 || v->AsNumber() > 1e6) {
-      return Status::Invalid("top_k must be a number in [1, 1e6]");
+      return BadRequest(m,
+                        Status::Invalid("top_k must be a number in [1, 1e6]"));
     }
     top_k = static_cast<size_t>(v->AsNumber());
   }
   double threshold = config_.match_threshold;
-  if (const json::Value* v = body.Find("threshold")) {
+  if (const json::Value* v = body->Find("threshold")) {
     if (!v->is_number() || v->AsNumber() < 0.0 || v->AsNumber() > 1.0) {
-      return Status::Invalid("threshold must be a number in [0, 1]");
+      return BadRequest(
+          m, Status::Invalid("threshold must be a number in [0, 1]"));
     }
     threshold = v->AsNumber();
   }
@@ -314,28 +307,32 @@ Result<MatchService::ScoringPlan> MatchService::PlanDedupe(
       *encoding_, blocker_, RecordFromText(*record_text), catalog_,
       model_->input_style());
   candidates_hist.Observe(static_cast<double>(candidates.samples.size()));
-  ScoringPlan plan;
-  plan.samples = std::move(candidates.samples);
-  plan.render = [this, top_k, threshold,
-                 catalog_indices = std::move(candidates.catalog_indices)](
-                    const std::vector<double>& scores) {
-    // Rank by P(match) descending; ties break on catalog order so responses
-    // are deterministic.
-    std::vector<size_t> order(scores.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&scores](size_t a, size_t b) {
-                       return scores[a] > scores[b];
-                     });
-    if (order.size() > top_k) order.resize(top_k);
+  std::vector<double> scores;
+  if (auto error = ScoreGroup(std::move(candidates.samples), request.trace,
+                              m.rejected, &scores)) {
+    return *error;
+  }
 
+  // Rank by P(match) descending; ties break on catalog order so responses
+  // are deterministic.
+  std::vector<size_t> order(scores.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&scores](size_t a, size_t b) {
+    return scores[a] > scores[b];
+  });
+  if (order.size() > top_k) order.resize(top_k);
+
+  http::HttpResponse resp;
+  resp.content_type = "application/json";
+  {
+    rtrace::StageTimer serialize_timer(ctx, rtrace::Stage::kSerialize);
     std::ostringstream out;
     out << "{\"candidates_considered\": " << scores.size()
         << ", \"threshold\": " << json::NumberToString(threshold)
         << ", \"candidates\": [";
     for (size_t rank = 0; rank < order.size(); ++rank) {
       const size_t c = order[rank];
-      const size_t catalog_index = catalog_indices[c];
+      const size_t catalog_index = candidates.catalog_indices[c];
       out << (rank == 0 ? "\n" : ",\n") << "  {\"catalog_index\": "
           << catalog_index << ", \"description\": \""
           << json::Escape(catalog_[catalog_index].Description())
@@ -344,9 +341,34 @@ Result<MatchService::ScoringPlan> MatchService::PlanDedupe(
           << "}";
     }
     out << (order.empty() ? "]" : "\n]") << "}\n";
-    return out.str();
-  };
-  return plan;
+    resp.body = out.str();
+  }
+  ObserveE2e(m, timer, ctx);
+  return resp;
+}
+
+std::optional<http::HttpResponse> MatchService::ScoreGroup(
+    std::vector<core::PairSample> samples,
+    const std::shared_ptr<rtrace::RequestContext>& trace,
+    metrics::Counter& rejected, std::vector<double>* scores) {
+  if (samples.empty()) return std::nullopt;
+  if (draining_.load(std::memory_order_acquire)) {
+    rejected.Increment();
+    return RejectionResponse(Status::Unavailable("matcher is draining"),
+                             config_.batcher);
+  }
+  auto futures = batcher_->SubmitGroup(std::move(samples), trace);
+  if (!futures.ok()) {
+    rejected.Increment();
+    return RejectionResponse(futures.status(), config_.batcher);
+  }
+  scores->reserve(futures->size());
+  try {
+    for (auto& future : *futures) scores->push_back(future.get());
+  } catch (const std::exception& e) {
+    return JsonError(500, std::string("scoring failed: ") + e.what());
+  }
+  return std::nullopt;
 }
 
 // ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@
 #pragma once
 
 #include <atomic>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,7 +30,7 @@
 #include "core/sample.h"
 #include "serve/batcher.h"
 #include "util/http_server.h"
-#include "util/json.h"
+#include "util/metrics.h"
 #include "util/status.h"
 
 namespace emba {
@@ -86,21 +86,17 @@ class MatchService {
   http::HttpResponse Handle(const http::HttpRequest& request);
 
  private:
-  /// What /match or /dedupe asks the batcher to score, and how the scores
-  /// become the 200 body.
-  struct ScoringPlan {
-    std::vector<core::PairSample> samples;
-    std::function<std::string(const std::vector<double>& scores)> render;
-  };
-
-  /// The path /match and /dedupe share: body parse, the endpoint's plan
-  /// (400 when invalid), the drain pre-check, group admission (429/503),
-  /// awaiting every score (500 on a scoring error), serialization and the
-  /// serve.<endpoint>.e2e_ms observation with its trace-id exemplar.
-  http::HttpResponse HandleScoring(const http::HttpRequest& request);
-  /// /match is a one-sample group.
-  Result<ScoringPlan> PlanMatch(const json::Value& body) const;
-  Result<ScoringPlan> PlanDedupe(const json::Value& body) const;
+  http::HttpResponse HandleMatch(const http::HttpRequest& request);
+  http::HttpResponse HandleDedupe(const http::HttpRequest& request);
+  /// The scoring step /match (a one-sample group) and /dedupe share: the
+  /// drain pre-check, group admission and awaiting every score. Fills
+  /// `scores` and returns nullopt, or returns the error response: 429/503,
+  /// counted in `rejected`, or 500 when scoring threw. An empty group
+  /// scores nothing.
+  std::optional<http::HttpResponse> ScoreGroup(
+      std::vector<core::PairSample> samples,
+      const std::shared_ptr<rtrace::RequestContext>& trace,
+      metrics::Counter& rejected, std::vector<double>* scores);
 
   core::EmModel* model_;
   const core::EncodedDataset* encoding_;

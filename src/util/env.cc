@@ -49,6 +49,17 @@ std::optional<T> FromChars(std::string_view text) {
   return value;
 }
 
+std::string IntRange(int64_t lo, int64_t hi) {
+  return "an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) +
+         "]";
+}
+
+Status FlagError(std::string_view flag, const std::string& expected,
+                 std::string_view text) {
+  return Status::Invalid(std::string(flag) + " requires " + expected +
+                         ", got '" + std::string(text) + "'");
+}
+
 }  // namespace
 
 const char* Name(Knob knob) { return kNames[static_cast<int>(knob)]; }
@@ -86,14 +97,24 @@ std::optional<size_t> ParseChoice(std::string_view text, Choices choices) {
   return std::nullopt;
 }
 
+Result<int64_t> ParseIntFlag(std::string_view flag, std::string_view text,
+                             int64_t lo, int64_t hi) {
+  if (const auto value = ParseInt(text, lo, hi)) return *value;
+  return FlagError(flag, IntRange(lo, hi), text);
+}
+
+Result<double> ParseDoubleFlag(std::string_view flag, std::string_view text,
+                               double lo, double hi) {
+  if (const auto value = ParseDouble(text, lo, hi)) return *value;
+  return FlagError(flag, StrFormat("a number in [%g, %g]", lo, hi), text);
+}
+
 std::optional<bool> ReadBool(Knob knob) {
   return Read(knob, "on/1/true or off/0/false", ParseBool);
 }
 
 std::optional<int64_t> ReadInt(Knob knob, int64_t lo, int64_t hi) {
-  return Read(knob,
-              "an integer in [" + std::to_string(lo) + ", " +
-                  std::to_string(hi) + "]",
+  return Read(knob, IntRange(lo, hi),
               [&](std::string_view text) { return ParseInt(text, lo, hi); });
 }
 

@@ -6,8 +6,8 @@
 // One strictness for all: unset or empty reads as "not set"; bools accept
 // on/1/true and off/0/false in any case; integers parse in full and within
 // the caller's bounds. A malformed value warns once per knob and then reads
-// as "not set", so env wiring never aborts a run. The parsers also check
-// emba_cli's numeric flags.
+// as "not set", so env wiring never aborts a run. The same parsers check
+// the numeric command-line flags of emba_cli and the bench binaries.
 #pragma once
 
 #include <cstddef>
@@ -16,6 +16,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+
+#include "util/status.h"
 
 namespace emba {
 namespace env {
@@ -49,6 +51,14 @@ std::optional<double> ParseDouble(std::string_view text, double lo, double hi);
 /// Index of `text` in `choices`, compared case-insensitively.
 using Choices = std::initializer_list<std::string_view>;
 std::optional<size_t> ParseChoice(std::string_view text, Choices choices);
+
+/// A numeric command-line flag's value, parsed as above, or InvalidArgument
+/// "<flag> requires an integer in [lo, hi], got '<text>'" (for doubles, "a
+/// number in [lo, hi]"): the one message every binary prints before exit 1.
+Result<int64_t> ParseIntFlag(std::string_view flag, std::string_view text,
+                             int64_t lo, int64_t hi);
+Result<double> ParseDoubleFlag(std::string_view flag, std::string_view text,
+                               double lo, double hi);
 
 std::optional<bool> ReadBool(Knob knob);
 std::optional<int64_t> ReadInt(Knob knob, int64_t lo, int64_t hi);

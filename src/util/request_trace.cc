@@ -1,6 +1,7 @@
 #include "util/request_trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -109,6 +110,13 @@ void WriteAccessLogLine(const RequestRecord& rec) {
   lines.Increment();
 }
 
+void SortSlowestFirst(std::vector<RequestRecord>* records) {
+  std::sort(records->begin(), records->end(),
+            [](const RequestRecord& a, const RequestRecord& b) {
+              return a.e2e_ms > b.e2e_ms;
+            });
+}
+
 metrics::Histogram& StageHistogram(Stage stage) {
   static metrics::Histogram* histograms[kStageCount] = {
       &metrics::GetHistogram("serve.stage.parse_ms"),
@@ -201,11 +209,6 @@ void RequestContext::SetEndpoint(const std::string& path) {
   std::lock_guard<std::mutex> lock(mutex_);
   std::strncpy(endpoint_, path.c_str(), sizeof(endpoint_) - 1);
   endpoint_[sizeof(endpoint_) - 1] = '\0';
-}
-
-std::string RequestContext::endpoint() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return endpoint_;
 }
 
 void RequestContext::AddStageNs(Stage stage, int64_t ns) {
@@ -387,10 +390,7 @@ std::vector<RequestRecord> SnapshotInFlight() {
   std::vector<RequestRecord> out;
   out.reserve(live.size());
   for (const auto& ctx : live) out.push_back(ctx->Record(/*in_flight=*/true));
-  std::sort(out.begin(), out.end(),
-            [](const RequestRecord& a, const RequestRecord& b) {
-              return a.e2e_ms > b.e2e_ms;
-            });
+  SortSlowestFirst(&out);
   return out;
 }
 
@@ -409,54 +409,28 @@ std::vector<RequestRecord> SnapshotRetained() {
       out.push_back(rec);
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const RequestRecord& a, const RequestRecord& b) {
-              return a.e2e_ms > b.e2e_ms;
-            });
+  SortSlowestFirst(&out);
   return out;
 }
 
 bool FindRetained(uint64_t trace_id, RequestRecord* out) {
-  {
-    TailStore& store = Store();
-    std::lock_guard<std::mutex> lock(store.mutex);
-    for (const RequestRecord& rec : store.slowest) {
+  const auto find = [&](std::vector<RequestRecord> records) {
+    for (RequestRecord& rec : records) {
       if (rec.trace_id == trace_id) {
-        *out = rec;
+        *out = std::move(rec);
         return true;
       }
     }
-    for (const RequestRecord& rec : store.errors) {
-      if (rec.trace_id == trace_id) {
-        *out = rec;
-        return true;
-      }
-    }
-  }
-  for (RequestRecord& rec : SnapshotInFlight()) {
-    if (rec.trace_id == trace_id) {
-      *out = std::move(rec);
-      return true;
-    }
-  }
-  return false;
+    return false;
+  };
+  return find(SnapshotRetained()) || find(SnapshotInFlight());
 }
 
 uint64_t ParseTraceIdHex(const std::string& hex) {
-  if (hex.empty() || hex.size() > 16) return 0;
   uint64_t id = 0;
-  for (char c : hex) {
-    id <<= 4;
-    if (c >= '0' && c <= '9') {
-      id |= static_cast<uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      id |= static_cast<uint64_t>(c - 'a' + 10);
-    } else if (c >= 'A' && c <= 'F') {
-      id |= static_cast<uint64_t>(c - 'A' + 10);
-    } else {
-      return 0;
-    }
-  }
+  const char* end = hex.data() + hex.size();
+  const auto [ptr, ec] = std::from_chars(hex.data(), end, id, 16);
+  if (hex.size() > 16 || ec != std::errc() || ptr != end) return 0;
   return id;
 }
 
@@ -475,10 +449,7 @@ void SetSlowestK(size_t k) {
   std::lock_guard<std::mutex> lock(store.mutex);
   store.slowest_k = std::max<size_t>(1, k);
   if (store.slowest.size() > store.slowest_k) {
-    std::sort(store.slowest.begin(), store.slowest.end(),
-              [](const RequestRecord& a, const RequestRecord& b) {
-                return a.e2e_ms > b.e2e_ms;
-              });
+    SortSlowestFirst(&store.slowest);
     store.slowest.resize(store.slowest_k);
   }
 }

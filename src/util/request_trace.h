@@ -152,7 +152,6 @@ class RequestContext {
 
   /// Truncating copy (endpoints are short fixed paths like "/match").
   void SetEndpoint(const std::string& path);
-  std::string endpoint() const;
 
   /// Accumulates into a stage (relaxed atomic add; stages may be fed from
   /// several code regions, e.g. socket parse + JSON parse both feed kParse).

@@ -221,6 +221,37 @@ TEST_F(RtraceTest, BatchAttributionLinksSiblingsAndChargesStages) {
   EXPECT_TRUE(rec_c.sibling_trace_ids.empty());
 }
 
+TEST_F(RtraceTest, GroupQueueWaitIsMaxOverSamplesAndBatches) {
+  using std::chrono::milliseconds;
+  rtrace::SetEnabled(true);
+  auto a = rtrace::StartRequest();
+  const auto wait_ms = [&a] {
+    return static_cast<double>(a->StageNs(rtrace::Stage::kQueueWait)) / 1e6;
+  };
+  const rtrace::Clock::time_point t0 = rtrace::Clock::now();
+
+  // One batch, samples listed rising then falling: waits 1, 3, 2 ms.
+  rtrace::BatchAttribution::Open(
+      {{a, t0 + milliseconds(2)}, {a, t0}, {a, t0 + milliseconds(1)}},
+      t0 + milliseconds(3), "full", false)
+      .Close(t0 + milliseconds(3), t0 + milliseconds(3));
+  EXPECT_NEAR(wait_ms(), 3.0, 1e-9);
+
+  // A group spread over two batches: the later batch waited longer (5 ms),
+  // so the group's wait rises to it.
+  rtrace::BatchAttribution::Open({{a, t0}}, t0 + milliseconds(5), "full",
+                                 false)
+      .Close(t0 + milliseconds(5), t0 + milliseconds(5));
+  EXPECT_NEAR(wait_ms(), 5.0, 1e-9);
+
+  // A shorter wait in a later batch does not lower it.
+  rtrace::BatchAttribution::Open({{a, t0 + milliseconds(5)}},
+                                 t0 + milliseconds(6), "deadline", false)
+      .Close(t0 + milliseconds(6), t0 + milliseconds(6));
+  EXPECT_NEAR(wait_ms(), 5.0, 1e-9);
+  rtrace::FinishRequest(a, 200);
+}
+
 // The batcher thread attributes batches while /rpcz snapshots in-flight
 // records; a reader must never see a linked batch half-filled (run under
 // ThreadSanitizer by the tier-1 TSan pass).

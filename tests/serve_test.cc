@@ -240,6 +240,16 @@ struct RecordingScorer {
 
 constexpr int64_t kNeverUs = 60'000'000;  // deadline that won't fire in-test
 
+// One sample admitted as a one-sample group, the way /match submits.
+Result<std::future<double>> SubmitOne(serve::DynamicBatcher* batcher,
+                                      core::PairSample sample) {
+  std::vector<core::PairSample> group;
+  group.push_back(std::move(sample));
+  auto futures = batcher->SubmitGroup(std::move(group));
+  if (!futures.ok()) return futures.status();
+  return std::move((*futures)[0]);
+}
+
 TEST(DynamicBatcherTest, BatchFullFireFormsOneBatch) {
   metrics::Counter& full_fires = metrics::GetCounter("serve.batch_full_fires");
   const uint64_t full_before = full_fires.Value();
@@ -250,7 +260,7 @@ TEST(DynamicBatcherTest, BatchFullFireFormsOneBatch) {
   serve::DynamicBatcher batcher(scorer.Fn(), config);
   std::vector<std::future<double>> futures;
   for (int i = 0; i < 4; ++i) {
-    auto f = batcher.Submit(SampleWithId(i));
+    auto f = SubmitOne(&batcher, SampleWithId(i));
     ASSERT_TRUE(f.ok()) << f.status().ToString();
     futures.push_back(std::move(*f));
   }
@@ -275,7 +285,7 @@ TEST(DynamicBatcherTest, DeadlineFireScoresSingleStraggler) {
   config.max_batch = 64;  // can never fill
   config.batch_deadline_us = 2000;
   serve::DynamicBatcher batcher(scorer.Fn(), config);
-  auto f = batcher.Submit(SampleWithId(7));
+  auto f = SubmitOne(&batcher, SampleWithId(7));
   ASSERT_TRUE(f.ok());
   EXPECT_EQ(f->get(), 70.0);  // resolved without filling: deadline fired
   {
@@ -295,8 +305,8 @@ TEST(DynamicBatcherTest, DrainFlushesParkedRequests) {
   config.max_batch = 16;
   config.batch_deadline_us = kNeverUs;
   serve::DynamicBatcher batcher(scorer.Fn(), config);
-  auto f1 = batcher.Submit(SampleWithId(1));
-  auto f2 = batcher.Submit(SampleWithId(2));
+  auto f1 = SubmitOne(&batcher, SampleWithId(1));
+  auto f2 = SubmitOne(&batcher, SampleWithId(2));
   ASSERT_TRUE(f1.ok() && f2.ok());
   batcher.Drain();
   // Accepted requests are never dropped: drain scored them for real.
@@ -317,11 +327,11 @@ TEST(DynamicBatcherTest, QueueOverflowRejectsResourceExhausted) {
   config.batch_deadline_us = kNeverUs;
   config.max_queue = 2;
   serve::DynamicBatcher batcher(scorer.Fn(), config);
-  auto f1 = batcher.Submit(SampleWithId(1));
-  auto f2 = batcher.Submit(SampleWithId(2));
+  auto f1 = SubmitOne(&batcher, SampleWithId(1));
+  auto f2 = SubmitOne(&batcher, SampleWithId(2));
   ASSERT_TRUE(f1.ok() && f2.ok());
   EXPECT_EQ(batcher.QueueDepth(), 2u);
-  auto rejected = batcher.Submit(SampleWithId(3));
+  auto rejected = SubmitOne(&batcher, SampleWithId(3));
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
   // The rejection did not disturb the parked requests.
@@ -337,8 +347,8 @@ TEST(DynamicBatcherTest, SubmitGroupIsAllOrNothing) {
   config.batch_deadline_us = kNeverUs;
   config.max_queue = 3;
   serve::DynamicBatcher batcher(scorer.Fn(), config);
-  auto f1 = batcher.Submit(SampleWithId(1));
-  auto f2 = batcher.Submit(SampleWithId(2));
+  auto f1 = SubmitOne(&batcher, SampleWithId(1));
+  auto f2 = SubmitOne(&batcher, SampleWithId(2));
   ASSERT_TRUE(f1.ok() && f2.ok());
   // 2 parked + 2 arriving > 3: the whole group bounces, nothing is parked.
   auto rejected = batcher.SubmitGroup({SampleWithId(3), SampleWithId(4)});
@@ -379,7 +389,7 @@ TEST(DynamicBatcherTest, RejectsUnavailableAfterDrain) {
   RecordingScorer scorer;
   serve::DynamicBatcher batcher(scorer.Fn(), {});
   batcher.Drain();
-  auto rejected = batcher.Submit(SampleWithId(1));
+  auto rejected = SubmitOne(&batcher, SampleWithId(1));
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
   batcher.Drain();  // idempotent
@@ -393,8 +403,8 @@ TEST(DynamicBatcherTest, ScoreFnExceptionPropagatesToEveryFuture) {
         throw std::runtime_error("scorer exploded");
       },
       config);
-  auto f1 = batcher.Submit(SampleWithId(1));
-  auto f2 = batcher.Submit(SampleWithId(2));
+  auto f1 = SubmitOne(&batcher, SampleWithId(1));
+  auto f2 = SubmitOne(&batcher, SampleWithId(2));
   ASSERT_TRUE(f1.ok() && f2.ok());
   EXPECT_THROW(f1->get(), std::runtime_error);
   EXPECT_THROW(f2->get(), std::runtime_error);

@@ -347,6 +347,21 @@ TEST(EnvReaderTest, ParseDoubleIsWholeStringAndBounded) {
   }
 }
 
+TEST(EnvReaderTest, FlagParsersNameTheFlagAndItsRange) {
+  EXPECT_EQ(*env::ParseIntFlag("--senders", "12", 1, 256), 12);
+  const auto bad_int = env::ParseIntFlag("--senders", "2x", 1, 256);
+  ASSERT_FALSE(bad_int.ok());
+  EXPECT_EQ(bad_int.status().message(),
+            "--senders requires an integer in [1, 256], got '2x'");
+
+  EXPECT_EQ(*env::ParseDoubleFlag("--duration", "0.25", 1e-3, 86400.0), 0.25);
+  const auto bad_double =
+      env::ParseDoubleFlag("--duration", "0.2x", 1e-3, 86400.0);
+  ASSERT_FALSE(bad_double.ok());
+  EXPECT_EQ(bad_double.status().message(),
+            "--duration requires a number in [0.001, 86400], got '0.2x'");
+}
+
 TEST(EnvReaderTest, ParseChoiceIgnoresCase) {
   EXPECT_EQ(env::ParseChoice("warn", {"debug", "info", "warn"}), 2u);
   EXPECT_EQ(env::ParseChoice("WARN", {"debug", "info", "warn"}), 2u);

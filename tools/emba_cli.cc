@@ -71,7 +71,6 @@
 #include "util/logging.h"
 #include "util/observability.h"
 #include "util/request_trace.h"
-#include "util/strings.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -390,23 +389,15 @@ int main(int argc, char** argv) {
       if (std::strcmp(argv[a], flag.name) == 0) int_flag = &flag;
     }
     if (int_flag != nullptr && a + 1 < argc) {
-      const char* text = argv[++a];
-      const auto value = env::ParseInt(text, int_flag->lo, int_flag->hi);
-      if (!value) {
-        return Fail(StrFormat(
-            "%s requires an integer in [%lld, %lld], got '%s'", int_flag->name,
-            static_cast<long long>(int_flag->lo),
-            static_cast<long long>(int_flag->hi), text));
-      }
+      const auto value = env::ParseIntFlag(int_flag->name, argv[++a],
+                                           int_flag->lo, int_flag->hi);
+      if (!value.ok()) return Fail(value.status().message());
       *int_flag->value = *value;
       if (int_flag->seen != nullptr) *int_flag->seen = true;
     } else if (std::strcmp(argv[a], "--threshold") == 0 && a + 1 < argc) {
-      const char* text = argv[++a];
-      const auto value = env::ParseDouble(text, 0.0, 1.0);
-      if (!value) {
-        return Fail(StrFormat(
-            "--threshold requires a probability in [0, 1], got '%s'", text));
-      }
+      const auto value =
+          env::ParseDoubleFlag("--threshold", argv[++a], 0.0, 1.0);
+      if (!value.ok()) return Fail(value.status().message());
       serve_flags.threshold = *value;
       serve_flags_seen = true;
     } else if (std::strcmp(argv[a], "--metrics-out") == 0 && a + 1 < argc) {
