@@ -5,8 +5,10 @@
 // the Histogram NaN-rejection regression test the sentinels depend on.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <string>
@@ -68,6 +70,35 @@ std::vector<std::string> EventsOfType(const std::string& path,
   for (const std::string& line : ReadLines(path)) {
     std::string type;
     if (EventType(line, &type) && type == want) out.push_back(line);
+  }
+  return out;
+}
+
+/// `text` with every number outside a JSON string replaced by 0, so an
+/// event line compares equal across runs in every key, string, separator
+/// and key order while its values (losses, timings) may move.
+std::string MaskNumbers(const std::string& text) {
+  std::string out;
+  bool in_string = false;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (in_string) {
+      out += c;
+      if (c == '\\' && i + 1 < text.size()) {
+        out += text[++i];
+      } else if (c == '"') {
+        in_string = false;
+      }
+    } else if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
+      while (i + 1 < text.size() &&
+             std::strchr("0123456789+-.eE", text[i + 1]) != nullptr) {
+        ++i;
+      }
+      out += '0';
+    } else {
+      in_string = c == '"';
+      out += c;
+    }
   }
   return out;
 }
@@ -273,6 +304,48 @@ TEST_F(TrainObsTest, EmbaRunEmitsPerTaskSeriesCheckpointsAndTrainz) {
   const auto evals = EventsOfType(log_path, "eval");
   EXPECT_EQ(evals.size(), 3u);  // 2 valid + 1 test
   EXPECT_EQ(EventsOfType(log_path, "run_end").size(), 1u);
+
+  // Event-log shape: the first line of each type, numbers masked, pins
+  // every key, its nesting and its order. json::Object is a std::map, so a
+  // parsed comparison would not see a reordered key.
+  const std::string modules =
+      "{\"em_classifier\": 0, \"encoder\": 0, \"id1_classifier\": 0, "
+      "\"id1_scorer\": 0, \"id2_classifier\": 0, \"id2_scorer\": 0}";
+  const std::string tasks = "{\"em\": 0, \"id1\": 0, \"id2\": 0}";
+  const std::vector<std::pair<std::string, std::string>> shapes = {
+      {"run_start",
+       "{\"v\": 0, \"type\": \"run_start\", \"dataset\": \"wdc_computers\", "
+       "\"model\": \"emba\", \"max_epochs\": 0, \"train_size\": 0, "
+       "\"aux_heads\": true, \"resumed\": false, \"resume_step\": 0, "
+       "\"resume_epoch\": 0, \"ts_unix\": 0}"},
+      {"step", "{\"v\": 0, \"type\": \"step\", \"step\": 0, \"epoch\": 0, "
+               "\"loss\": " + tasks + ", \"examples\": " + tasks +
+                   ", \"lr\": 0, \"grad_norm\": 0, \"update_ratio\": 0, "
+                   "\"step_ms\": 0, \"grad_norms\": " + modules +
+                   ", \"update_ratios\": " + modules + ", \"ts_unix\": 0}"},
+      {"epoch", "{\"v\": 0, \"type\": \"epoch\", \"epoch\": 0, \"step\": 0, "
+                "\"loss\": " + tasks + ", \"examples\": " + tasks +
+                    ", \"epoch_seconds\": 0, \"heap_allocs\": 0, "
+                    "\"parallel_for_calls\": 0, \"ts_unix\": 0}"},
+      {"eval",
+       "{\"v\": 0, \"type\": \"eval\", \"epoch\": 0, \"step\": 0, "
+       "\"split\": \"valid\", \"f1\": 0, \"precision\": 0, \"recall\": 0, "
+       "\"id1_accuracy\": 0, \"id2_accuracy\": 0, \"improved\": true, "
+       "\"ts_unix\": 0}"},
+      {"checkpoint",
+       "{\"v\": 0, \"type\": \"checkpoint\", \"epoch\": 0, \"step\": 0, "
+       "\"path\": \"" + ckpt + "\", \"bytes\": 0, \"write_ms\": 0, "
+       "\"ts_unix\": 0}"},
+      {"run_end",
+       "{\"v\": 0, \"type\": \"run_end\", \"epochs_ran\": 0, "
+       "\"best_valid_f1\": 0, \"test_f1\": 0, \"wall_seconds\": 0, "
+       "\"nonfinite_losses\": 0, \"nonfinite_grads\": 0, \"ts_unix\": 0}"},
+  };
+  for (const auto& [type, shape] : shapes) {
+    const auto lines = EventsOfType(log_path, type);
+    ASSERT_FALSE(lines.empty()) << type;
+    EXPECT_EQ(MaskNumbers(lines[0]), shape) << type;
+  }
 
   // Checkpoint telemetry: the counters, the event, the span, /trainz state.
   EXPECT_EQ(metrics::GetCounter("training.checkpoint.writes").Value(), 2u);
