@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <limits>
-#include <unordered_set>
+#include <numeric>
 
 #include "core/scoring.h"
 #include "nn/checkpoint.h"
@@ -157,12 +157,18 @@ void RotateCheckpoints(const std::string& path, int keep_last) {
   }
 }
 
+/// Writes the checkpoint of the epoch before `state.next_epoch`, then
+/// records it: the training.checkpoint.* and trainer.checkpoint_write_ms
+/// metrics and train_obs's checkpoint event.
 Status SaveTrainerCheckpoint(const std::string& path, int keep_last,
                              const EmModel& model,
                              const nn::Optimizer& optimizer, const Rng& rng,
                              const Rng* dropout_rng,
                              const std::vector<Tensor>& best_snapshot,
-                             const ResumeState& state, int64_t* bytes_out) {
+                             const ResumeState& state) {
+  const int64_t epoch = state.next_epoch - 1;
+  EMBA_TRACE_SPAN_ARGS("trainer/checkpoint_write", {"epoch", epoch});
+  Stopwatch timer;
   nn::CheckpointWriter writer;
   for (const auto& [name, var] : model.NamedParameters()) {
     writer.AddTensor("model." + name, var.value());
@@ -202,10 +208,18 @@ Status SaveTrainerCheckpoint(const std::string& path, int keep_last,
       metrics::GetCounter("training.checkpoint.writes");
   static metrics::Counter& bytes_counter =
       metrics::GetCounter("training.checkpoint.bytes");
+  static metrics::Histogram& latency =
+      metrics::GetHistogram("trainer.checkpoint_write_ms");
   const int64_t bytes = static_cast<int64_t>(image.size()) * 2;
+  const double write_ms = timer.ElapsedMillis();
   writes_counter.Increment();
   bytes_counter.Increment(static_cast<uint64_t>(bytes));
-  if (bytes_out != nullptr) *bytes_out = bytes;
+  latency.Observe(write_ms);
+  train_obs::LogCheckpoint({.epoch = epoch,
+                            .step = state.global_step,
+                            .path = path,
+                            .bytes = bytes,
+                            .write_ms = write_ms});
   return Status::OK();
 }
 
@@ -219,27 +233,8 @@ Status LoadTrainerCheckpoint(const std::string& path, EmModel* model,
   auto reader = nn::CheckpointReader::Open(path);
   if (!reader.ok()) return reader.status();
 
-  // Model parameters: all present, shapes matching, no strays.
-  auto named = model->NamedParameters();
-  std::unordered_set<std::string> matched;
-  for (auto& [name, var] : named) {
-    const Tensor* t = reader->FindTensor("model." + name);
-    if (t == nullptr) {
-      return Status::NotFound("checkpoint missing parameter: " + name);
-    }
-    if (!(t->shape() == var.value().shape())) {
-      return Status::Invalid("checkpoint parameter shape mismatch: " + name);
-    }
-    matched.insert("model." + name);
-  }
-  for (const auto& section : reader->TensorNames()) {
-    if (section.rfind("model.", 0) == 0 && !matched.count(section)) {
-      return Status::Invalid("checkpoint entry matches no model parameter: " +
-                             section);
-    }
-  }
-
   // Best-validation snapshot: one tensor per parameter, same shapes.
+  const auto named = model->NamedParameters();
   std::vector<Tensor> best;
   best.reserve(named.size());
   for (size_t i = 0; i < named.size(); ++i) {
@@ -318,11 +313,9 @@ Status LoadTrainerCheckpoint(const std::string& path, EmModel* model,
     return Status::Invalid("negative counter in trainer/state");
   }
 
-  // Everything validated — only now mutate the model/optimizer/RNGs.
-  for (auto& [name, var] : named) {
-    var.mutable_value() = *reader->FindTensor("model." + name);
-  }
-  int8::BumpWeightGeneration();  // loaded storage may alias freed pointers
+  // Everything else validated; the model matcher validates the "model."
+  // entries before it assigns any, so a mismatch still changes nothing.
+  EMBA_RETURN_NOT_OK(model->LoadParametersFrom(*reader, "model."));
   EMBA_RETURN_NOT_OK(optimizer->LoadState(*reader, "opt."));
   EMBA_RETURN_NOT_OK(rng->LoadState(*rng_bytes));
   if (dropout_rng != nullptr) {
@@ -331,6 +324,20 @@ Status LoadTrainerCheckpoint(const std::string& path, EmModel* model,
   *best_snapshot = std::move(best);
   *state = std::move(loaded);
   return Status::OK();
+}
+
+/// The one EvalResult → eval-event mapping, for "valid" and "test".
+void LogEvalEvent(const char* split, int64_t epoch, int64_t step,
+                  const EvalResult& eval, bool improved) {
+  train_obs::LogEval({.epoch = epoch,
+                      .step = step,
+                      .split = split,
+                      .f1 = eval.em.f1,
+                      .precision = eval.em.precision,
+                      .recall = eval.em.recall,
+                      .id1_accuracy = eval.id1_accuracy,
+                      .id2_accuracy = eval.id2_accuracy,
+                      .improved = improved});
 }
 
 }  // namespace
@@ -343,15 +350,12 @@ Trainer::Trainer(EmModel* model, const EncodedDataset* dataset,
 }
 
 ag::Var Trainer::SampleLoss(const PairSample& sample,
-                            LossBreakdown* breakdown) const {
+                            train_obs::TaskLosses* losses) const {
   ModelOutput out = model_->Forward(sample);
   std::vector<ag::Var> terms;
   terms.push_back(
       ag::BinaryCrossEntropyFromLogits(out.em_logits, sample.match ? 1 : 0));
-  if (breakdown != nullptr) {
-    breakdown->em += static_cast<double>(terms.back().item());
-    ++breakdown->n_em;
-  }
+  losses->Add(train_obs::kEm, terms.back().item());
   if (model_->has_aux_heads()) {
     float aux = config_.aux_loss_weight;
     if (aux < 0.0f) {
@@ -362,19 +366,13 @@ ag::Var Trainer::SampleLoss(const PairSample& sample,
         sample.id1 < dataset_->num_id_classes) {
       terms.push_back(ag::Scale(
           ag::CrossEntropyFromLogits(out.id1_logits, sample.id1), aux));
-      if (breakdown != nullptr) {
-        breakdown->id1 += static_cast<double>(terms.back().item());
-        ++breakdown->n_id1;
-      }
+      losses->Add(train_obs::kId1, terms.back().item());
     }
     if (out.id2_logits.defined() && sample.id2 >= 0 &&
         sample.id2 < dataset_->num_id_classes) {
       terms.push_back(ag::Scale(
           ag::CrossEntropyFromLogits(out.id2_logits, sample.id2), aux));
-      if (breakdown != nullptr) {
-        breakdown->id2 += static_cast<double>(terms.back().item());
-        ++breakdown->n_id2;
-      }
+      losses->Add(train_obs::kId2, terms.back().item());
     }
   }
   return terms.size() == 1 ? terms[0] : ag::AddN(terms);
@@ -446,8 +444,6 @@ Status Trainer::Run(TrainResult* out) {
       metrics::GetGauge("trainer.grad_norm");
   static metrics::Histogram& step_latency =
       metrics::GetHistogram("trainer.step_ms");
-  static metrics::Histogram& checkpoint_latency =
-      metrics::GetHistogram("trainer.checkpoint_write_ms");
 
   Rng rng(config_.seed);
   auto params = model_->Parameters();
@@ -460,12 +456,12 @@ Status Trainer::Run(TrainResult* out) {
       config_.learning_rate, config_.warmup_epochs * steps_per_epoch,
       static_cast<int64_t>(config_.max_epochs) * steps_per_epoch);
 
-  std::vector<size_t> order(dataset_->train.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-
-  TrainResult result;
-  std::vector<Tensor> best_snapshot = SnapshotParameters(params);
+  // The loop runs on the checkpoint's state: a resume replaces it whole,
+  // and a save writes it as it stands.
   ResumeState state;
+  state.order.resize(dataset_->train.size());
+  std::iota(state.order.begin(), state.order.end(), size_t{0});
+  std::vector<Tensor> best_snapshot = SnapshotParameters(params);
 
   const bool checkpointing = !config_.checkpoint_path.empty();
   EMBA_CHECK_MSG(!checkpointing || config_.checkpoint_every >= 1,
@@ -475,18 +471,23 @@ Status Trainer::Run(TrainResult* out) {
       FileExists(config_.checkpoint_path)) {
     EMBA_RETURN_NOT_OK(LoadTrainerCheckpoint(
         config_.checkpoint_path, model_, &optimizer, &rng,
-        config_.dropout_rng, order.size(), &best_snapshot, &state));
+        config_.dropout_rng, state.order.size(), &best_snapshot, &state));
     resumed_run = true;
-    order = state.order;
-    result.epoch_train_loss = state.epoch_train_loss;
-    result.epoch_valid_f1 = state.epoch_valid_f1;
-    result.epochs_ran = static_cast<int>(state.next_epoch);
     if (config_.verbose) {
       EMBA_LOG(INFO) << dataset_->name << " resumed from "
                      << config_.checkpoint_path << " at epoch "
                      << state.next_epoch;
     }
   }
+  // The loop's histories, handed over when it ends: the partial result of
+  // a simulated crash, or the start of a finished run's result.
+  const auto take_histories = [&state] {
+    TrainResult result;
+    result.epochs_ran = static_cast<int>(state.next_epoch);
+    result.epoch_train_loss = std::move(state.epoch_train_loss);
+    result.epoch_valid_f1 = std::move(state.epoch_valid_f1);
+    return result;
+  };
 
   // ---- Training observability (src/train_obs, DESIGN.md §11) ----
   // StartRun resets the /trainz run status, groups the parameters by
@@ -517,12 +518,12 @@ Status Trainer::Run(TrainResult* out) {
   grad_scratch.reserve(params.size());
   bool collecting_update_norms = false;
 
-  int64_t trained_pairs = state.trained_pairs;
-  const int64_t pairs_before_this_run = trained_pairs;
+  const int64_t pairs_before_this_run = state.trained_pairs;
   int epochs_this_run = 0;
   Stopwatch train_timer;
   Stopwatch heartbeat_timer;
   double last_heartbeat_emit = -1.0;
+  std::vector<size_t>& order = state.order;
 
   model_->SetTraining(true);
   for (int epoch = static_cast<int>(state.next_epoch);
@@ -541,7 +542,7 @@ Status Trainer::Run(TrainResult* out) {
     Stopwatch epoch_timer;
     double epoch_loss = 0.0;
     size_t i = 0;
-    LossBreakdown epoch_breakdown;
+    train_obs::TaskLosses epoch_losses;
     while (i < order.size()) {
       EMBA_TRACE_SPAN_ARGS("trainer/step", {"step", state.global_step},
                            {"epoch", epoch});
@@ -553,8 +554,7 @@ Status Trainer::Run(TrainResult* out) {
         optimizer.set_collect_update_norms(telemetry);
         collecting_update_norms = telemetry;
       }
-      LossBreakdown step_before;
-      if (telemetry) step_before = epoch_breakdown;
+      const train_obs::TaskLosses losses_before_step = epoch_losses;
       model_->ZeroGrad();
       const size_t batch_start = i;
       const size_t batch_end =
@@ -563,11 +563,11 @@ Status Trainer::Run(TrainResult* out) {
           1.0f / static_cast<float>(batch_end - i);
       for (; i < batch_end; ++i) {
         ag::Var loss =
-            ag::Scale(SampleLoss(dataset_->train[order[i]], &epoch_breakdown),
+            ag::Scale(SampleLoss(dataset_->train[order[i]], &epoch_losses),
                       inv_batch);
         epoch_loss += static_cast<double>(loss.item()) / inv_batch;
         loss.Backward();
-        ++trained_pairs;
+        ++state.trained_pairs;
       }
       if (config_.inject_inf_grad_at_step >= 0 &&
           state.global_step == config_.inject_inf_grad_at_step) {
@@ -579,31 +579,13 @@ Status Trainer::Run(TrainResult* out) {
           break;
         }
       }
-      // Sentinels look at the *pre-clip* gradients: clipping a non-finite
-      // norm rescales by 0 and would smear the evidence into NaN everywhere.
-      bool losses_finite = true;
-      std::string loss_offender;
-      train_obs::GradObservation grad_obs;
       if (telemetry) {
-        losses_finite = train_obs::ObserveLoss(
-            epoch_breakdown.em - step_before.em,
-            epoch_breakdown.id1 - step_before.id1,
-            epoch_breakdown.id2 - step_before.id2, &loss_offender);
         grad_scratch.clear();
         for (const ag::Var& p : params) {
           grad_scratch.push_back(p.has_grad() ? &p.grad() : nullptr);
         }
-        grad_obs = train_obs::ObserveGradients(grad_scratch);
-        if (train_obs::NanAbort()) {
-          if (!losses_finite) {
-            train_obs::NanAbortNow("loss:" + loss_offender,
-                                   state.global_step);
-          }
-          if (grad_obs.nonfinite) {
-            train_obs::NanAbortNow("grad:" + grad_obs.offender,
-                                   state.global_step);
-          }
-        }
+        train_obs::ObserveStep(state.global_step,
+                               epoch_losses - losses_before_step, grad_scratch);
       }
       const float grad_norm = nn::ClipGradNorm(params, config_.clip_norm);
       grad_norm_gauge.Set(static_cast<double>(grad_norm));
@@ -615,24 +597,8 @@ Status Trainer::Run(TrainResult* out) {
       const double step_ms = step_timer.ElapsedMillis();
       step_latency.Observe(step_ms);
       if (telemetry) {
-        train_obs::StepEvent ev;
-        ev.step = state.global_step - 1;
-        ev.epoch = epoch;
-        ev.loss_em = epoch_breakdown.em - step_before.em;
-        ev.loss_id1 = epoch_breakdown.id1 - step_before.id1;
-        ev.loss_id2 = epoch_breakdown.id2 - step_before.id2;
-        ev.n_em = epoch_breakdown.n_em - step_before.n_em;
-        ev.n_id1 = epoch_breakdown.n_id1 - step_before.n_id1;
-        ev.n_id2 = epoch_breakdown.n_id2 - step_before.n_id2;
-        ev.lr = static_cast<double>(optimizer.learning_rate());
-        ev.grad_norm = grad_obs.global_norm;
-        ev.step_ms = step_ms;
-        train_obs::UpdateObservation upd = train_obs::ObserveUpdates(
-            weights, optimizer.last_update_sq_norms());
-        ev.update_ratio = upd.global_ratio;
-        ev.module_update_ratios = std::move(upd.module_ratios);
-        ev.module_grad_norms = std::move(grad_obs.module_norms);
-        train_obs::LogStep(ev);
+        train_obs::LogStep(epoch, optimizer.learning_rate(), step_ms, weights,
+                           optimizer.last_update_sq_norms());
       }
       // Liveness stamp for /healthz. Gated on the server actually running so
       // the disabled-server hot path stays byte-for-byte what it was (the
@@ -657,7 +623,8 @@ Status Trainer::Run(TrainResult* out) {
           continue;
         }
         last_heartbeat_emit = now_seconds;
-        const int64_t pairs_so_far = trained_pairs - pairs_before_this_run;
+        const int64_t pairs_so_far =
+            state.trained_pairs - pairs_before_this_run;
         const double rate =
             train_timer.ElapsedSeconds() > 0.0
                 ? static_cast<double>(pairs_so_far) /
@@ -680,38 +647,24 @@ Status Trainer::Run(TrainResult* out) {
                        << "MB threads " << proc.threads;
       }
     }
-    em_loss_sum.Add(epoch_breakdown.em);
-    id1_loss_sum.Add(epoch_breakdown.id1);
-    id2_loss_sum.Add(epoch_breakdown.id2);
+    em_loss_sum.Add(epoch_losses.sum[train_obs::kEm]);
+    id1_loss_sum.Add(epoch_losses.sum[train_obs::kId1]);
+    id2_loss_sum.Add(epoch_losses.sum[train_obs::kId2]);
     epochs_counter.Increment();
-    result.epoch_train_loss.push_back(
+    state.epoch_train_loss.push_back(
         epoch_loss / static_cast<double>(std::max<size_t>(order.size(), 1)));
-    if (train_obs::TelemetryActive()) {
-      train_obs::EpochEvent ev;
-      ev.epoch = epoch;
-      ev.step = state.global_step;
-      ev.loss_em = epoch_breakdown.em;
-      ev.loss_id1 = epoch_breakdown.id1;
-      ev.loss_id2 = epoch_breakdown.id2;
-      ev.n_em = epoch_breakdown.n_em;
-      ev.n_id1 = epoch_breakdown.n_id1;
-      ev.n_id2 = epoch_breakdown.n_id2;
-      ev.epoch_seconds = epoch_timer.ElapsedSeconds();
-      ev.heap_allocs = TensorHeapAllocCount();
-      static metrics::Counter& parallel_for_counter =
-          metrics::GetCounter("threadpool.parallel_for_calls");
-      ev.parallel_for_calls =
-          static_cast<int64_t>(parallel_for_counter.Value());
-      train_obs::LogEpoch(ev);
-    }
+    state.next_epoch = epoch + 1;
+    train_obs::LogEpoch({.epoch = epoch,
+                         .step = state.global_step,
+                         .losses = epoch_losses,
+                         .epoch_seconds = epoch_timer.ElapsedSeconds()});
 
     EvalResult valid = Evaluate(dataset_->valid);
-    result.epoch_valid_f1.push_back(valid.em.f1);
+    state.epoch_valid_f1.push_back(valid.em.f1);
     if (config_.verbose) {
       EMBA_LOG(INFO) << dataset_->name << " epoch " << epoch
                      << " valid F1=" << valid.em.f1;
     }
-    result.epochs_ran = epoch + 1;
     bool stop = false;
     const bool improved = valid.em.f1 > state.best_valid_f1;
     if (improved) {
@@ -725,59 +678,30 @@ Status Trainer::Run(TrainResult* out) {
         stop = true;
       }
     }
-    if (train_obs::TelemetryActive()) {
-      train_obs::EvalEvent ev;
-      ev.epoch = epoch;
-      ev.step = state.global_step;
-      ev.split = "valid";
-      ev.f1 = valid.em.f1;
-      ev.precision = valid.em.precision;
-      ev.recall = valid.em.recall;
-      ev.id1_accuracy = valid.id1_accuracy;
-      ev.id2_accuracy = valid.id2_accuracy;
-      ev.improved = improved;
-      train_obs::LogEval(ev);
-    }
+    LogEvalEvent("valid", epoch, state.global_step, valid, improved);
 
     ++epochs_this_run;
     if (checkpointing &&
         ((epoch + 1) % config_.checkpoint_every == 0 || stop ||
          epoch + 1 == config_.max_epochs)) {
-      state.next_epoch = epoch + 1;
-      state.trained_pairs = trained_pairs;
-      state.epoch_train_loss = result.epoch_train_loss;
-      state.epoch_valid_f1 = result.epoch_valid_f1;
-      state.order = order;
-      EMBA_TRACE_SPAN_ARGS("trainer/checkpoint_write", {"epoch", epoch});
-      Stopwatch checkpoint_timer;
-      int64_t checkpoint_bytes = 0;
       EMBA_RETURN_NOT_OK(SaveTrainerCheckpoint(
           config_.checkpoint_path, config_.checkpoint_keep_last, *model_,
-          optimizer, rng, config_.dropout_rng, best_snapshot, state,
-          &checkpoint_bytes));
-      const double checkpoint_ms = checkpoint_timer.ElapsedMillis();
-      checkpoint_latency.Observe(checkpoint_ms);
-      train_obs::CheckpointEvent ev;
-      ev.epoch = epoch;
-      ev.step = state.global_step;
-      ev.path = config_.checkpoint_path;
-      ev.bytes = checkpoint_bytes;
-      ev.write_ms = checkpoint_ms;
-      train_obs::LogCheckpoint(ev);
+          optimizer, rng, config_.dropout_rng, best_snapshot, state));
     }
     if (config_.interrupt_after_epochs > 0 &&
         epochs_this_run >= config_.interrupt_after_epochs) {
       // Simulated crash: bail out exactly as a kill would — no best-weight
       // restore, no test evaluation, partial result.
-      *out = result;
+      *out = take_histories();
       return Status::OK();
     }
     if (stop) break;
   }
+  TrainResult result = take_histories();
   const double train_seconds = train_timer.ElapsedSeconds();
   // Throughput counts only pairs trained by this process (a resumed run
   // did not pay wall-clock for the pre-interruption epochs).
-  const int64_t pairs_this_run = trained_pairs - pairs_before_this_run;
+  const int64_t pairs_this_run = state.trained_pairs - pairs_before_this_run;
   result.train_pairs_per_second =
       train_seconds > 0.0 ? static_cast<double>(pairs_this_run) / train_seconds
                           : 0.0;
@@ -792,18 +716,8 @@ Status Trainer::Run(TrainResult* out) {
       infer_seconds > 0.0
           ? static_cast<double>(dataset_->test.size()) / infer_seconds
           : 0.0;
-  if (train_obs::TelemetryActive()) {
-    train_obs::EvalEvent ev;
-    ev.epoch = result.epochs_ran;
-    ev.step = state.global_step;
-    ev.split = "test";
-    ev.f1 = result.test.em.f1;
-    ev.precision = result.test.em.precision;
-    ev.recall = result.test.em.recall;
-    ev.id1_accuracy = result.test.id1_accuracy;
-    ev.id2_accuracy = result.test.id2_accuracy;
-    train_obs::LogEval(ev);
-  }
+  LogEvalEvent("test", result.epochs_ran, state.global_step, result.test,
+               /*improved=*/false);
   train_obs::EndRun(result.best_valid_f1, result.test.em.f1,
                     result.epochs_ran);
   *out = result;

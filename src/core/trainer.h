@@ -16,6 +16,10 @@
 #include "core/model.h"
 
 namespace emba {
+namespace train_obs {
+struct TaskLosses;
+}  // namespace train_obs
+
 namespace core {
 
 struct TrainConfig {
@@ -114,21 +118,11 @@ class Trainer {
   EvalResult Evaluate(const std::vector<PairSample>& split) const;
 
  private:
-  /// Per-head components of one sample's Eq. 3 loss (metrics export), plus
-  /// the number of samples that contributed to each head — what turns the
-  /// sums into per-example means in the telemetry consumers.
-  struct LossBreakdown {
-    double em = 0.0;
-    double id1 = 0.0;
-    double id2 = 0.0;
-    int64_t n_em = 0, n_id1 = 0, n_id2 = 0;
-  };
-
-  /// Eq. 3 loss for one sample. When `breakdown` is non-null the per-head
-  /// loss values are accumulated into it (the autograd values are already
-  /// materialized, so this costs three float reads).
+  /// Eq. 3 loss for one sample. Each head's loss value, and one example,
+  /// is added to `losses` (the autograd values are already materialized, so
+  /// this costs three float reads).
   ag::Var SampleLoss(const PairSample& sample,
-                     LossBreakdown* breakdown = nullptr) const;
+                     train_obs::TaskLosses* losses) const;
 
   EmModel* model_;
   const EncodedDataset* dataset_;

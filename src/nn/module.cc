@@ -6,7 +6,6 @@
 
 #include "nn/checkpoint.h"
 #include "tensor/int8.h"
-#include "util/logging.h"
 
 namespace emba {
 namespace nn {
@@ -68,37 +67,42 @@ Status Module::SaveParameters(const std::string& path) const {
   return writer.Write(path);
 }
 
-Status Module::LoadParameters(const std::string& path, bool allow_unmatched) {
+Status Module::LoadParameters(const std::string& path) {
   auto reader = CheckpointReader::Open(path);
   if (!reader.ok()) return reader.status();
+  return LoadParametersFrom(*reader, "");
+}
+
+Status Module::LoadParametersFrom(const CheckpointReader& reader,
+                                  const std::string& prefix) {
+  auto named = NamedParameters();
+  std::vector<const Tensor*> loaded;
+  loaded.reserve(named.size());
   std::unordered_set<std::string> matched;
-  for (auto& [name, var] : NamedParameters()) {
-    const Tensor* t = reader->FindTensor(name);
+  for (const auto& [name, var] : named) {
+    const Tensor* t = reader.FindTensor(prefix + name);
     if (t == nullptr) {
-      return Status::NotFound("parameter missing from file: " + name);
+      return Status::NotFound("checkpoint missing parameter: " + name);
     }
     if (!(t->shape() == var.value().shape())) {
-      return Status::Invalid("parameter shape mismatch: " + name);
+      return Status::Invalid("checkpoint parameter shape mismatch: " + name);
     }
-    var.mutable_value() = *t;
-    matched.insert(name);
+    loaded.push_back(t);
+    matched.insert(prefix + name);
   }
-  // Loaded tensors replace parameter storage wholesale; any int8
-  // quantized-weight cache built against the old values is now stale.
+  for (const auto& entry : reader.TensorNames()) {
+    if (entry.rfind(prefix, 0) == 0 && !matched.count(entry)) {
+      return Status::Invalid("checkpoint entry matches no model parameter: " +
+                             entry);
+    }
+  }
+  for (size_t i = 0; i < named.size(); ++i) {
+    named[i].second.mutable_value() = *loaded[i];
+  }
+  // Loaded tensors replace parameter storage wholesale (and may reuse freed
+  // pointers); any int8 quantized-weight cache built against the old values
+  // is now stale.
   int8::BumpWeightGeneration();
-  // File entries with no model counterpart mean the file was written for a
-  // different architecture (e.g. a renamed layer): loading "successfully"
-  // while dropping them would leave the unmatched layer at its random init.
-  for (const auto& name : reader->TensorNames()) {
-    if (matched.count(name)) continue;
-    if (allow_unmatched) {
-      EMBA_LOG(WARN) << "checkpoint " << path << ": ignoring unmatched entry '"
-                     << name << "'";
-      continue;
-    }
-    return Status::Invalid("file entry matches no model parameter: '" + name +
-                           "' (pass allow_unmatched to ignore)");
-  }
   return Status::OK();
 }
 

@@ -13,6 +13,8 @@
 namespace emba {
 namespace nn {
 
+class CheckpointReader;
+
 /// Base class for anything with trainable parameters.
 ///
 /// Subclasses register parameters (RegisterParameter) and children
@@ -48,13 +50,20 @@ class Module {
   Status SaveParameters(const std::string& path) const;
 
   /// Loads parameters from a v2 (or legacy v1) checkpoint, validating every
-  /// header field and the payload checksum before touching the model.
-  /// Every model parameter must be present with a matching shape, and every
-  /// file entry must match a model parameter — an entry for a parameter the
+  /// header field and the payload checksum, then matching the file against
+  /// the model with LoadParametersFrom (no prefix).
+  Status LoadParameters(const std::string& path);
+
+  /// The one parameter matcher (LoadParameters, trainer resume): every
+  /// parameter must be in `reader` as `<prefix><name>` with its shape, and
+  /// every tensor entry under `prefix` must match a parameter — an entry the
   /// model does not have (e.g. a renamed layer) is an error, since silently
-  /// dropping it would leave stale weights in the mismatched layer. Pass
-  /// `allow_unmatched` = true to downgrade that case to a logged warning.
-  Status LoadParameters(const std::string& path, bool allow_unmatched = false);
+  /// dropping it would leave stale weights in the mismatched layer. All of
+  /// it is checked before any parameter is assigned, so on error the model
+  /// is unchanged; on success every parameter is replaced and the int8
+  /// weight generation is bumped.
+  Status LoadParametersFrom(const CheckpointReader& reader,
+                            const std::string& prefix);
 
  protected:
   /// Creates and registers a trainable parameter.

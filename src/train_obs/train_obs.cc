@@ -80,11 +80,30 @@ void CloseLogLocked(LogState* log) {
   }
 }
 
-void AppendTaskLosses(std::ostringstream* out, double em, double id1,
-                      double id2) {
-  *out << "{\"em\": " << JsonDouble(em)
-       << ", \"id1\": " << JsonDouble(id1)
-       << ", \"id2\": " << JsonDouble(id2) << "}";
+/// Task names, in the order every per-task JSON object lists them.
+constexpr const char* kTaskNames[kTaskCount] = {"em", "id1", "id2"};
+
+/// The `"loss"` (per-task sums) and `"examples"` (per-task counts) objects
+/// of a step or epoch event.
+void AppendLossAndExamples(std::ostringstream* out, const TaskLosses& losses) {
+  *out << ", \"loss\": {";
+  for (int t = 0; t < kTaskCount; ++t) {
+    *out << (t > 0 ? ", \"" : "\"") << kTaskNames[t]
+         << "\": " << JsonDouble(losses.sum[t]);
+  }
+  *out << "}, \"examples\": {";
+  for (int t = 0; t < kTaskCount; ++t) {
+    *out << (t > 0 ? ", \"" : "\"") << kTaskNames[t]
+         << "\": " << losses.count[t];
+  }
+  *out << '}';
+}
+
+/// Task `t`'s per-example mean loss (what /trainz shows); nullopt when no
+/// example reached the task head.
+std::optional<double> PerExampleMean(const TaskLosses& losses, int t) {
+  if (losses.count[t] <= 0) return std::nullopt;
+  return losses.sum[t] / static_cast<double>(losses.count[t]);
 }
 
 void AppendNamedDoubles(
@@ -165,9 +184,10 @@ Status TrimEventLogForResume(const std::string& path, int64_t resume_step,
 
 constexpr size_t kRecentSteps = 240;
 
-/// One optimizer step in the recent-steps ring (per-example mean losses).
+/// One optimizer step in the recent-steps ring (per-example mean losses,
+/// indexed by Task).
 struct StepPoint {
-  double loss_em = 0.0, loss_id1 = 0.0, loss_id2 = 0.0;
+  double loss[kTaskCount] = {};
   double step_ms = 0.0;
 };
 
@@ -190,9 +210,9 @@ struct Run {
   double update_ratio = 0.0;
   std::chrono::steady_clock::time_point start_time;
   double wall_seconds = 0.0;  ///< run length, fixed by EndRun
-  /// Per-epoch per-example mean losses; id series stay empty for
-  /// single-task models.
-  std::vector<double> epoch_loss_em, epoch_loss_id1, epoch_loss_id2;
+  /// Per-epoch per-example mean losses, indexed by Task; the ID series
+  /// stay empty for single-task models.
+  std::vector<double> epoch_loss[kTaskCount];
   /// Validation metrics per epoch.
   std::vector<double> eval_f1, eval_precision, eval_recall;
   std::deque<StepPoint> recent;  ///< oldest first
@@ -210,23 +230,30 @@ RunStatus& GetRunStatus() {
   return *status;
 }
 
-// Parameter → top-level-module grouping of the current run ("module" = the
-// dotted name up to the first '.'), built once by StartRun. Only the
-// trainer thread touches it — StartRun and the per-step Observe* hooks — so
-// it lives outside the /trainz mutex.
-struct ModuleGrouping {
+// The trainer thread's side of a run, outside the /trainz mutex (only
+// StartRun, ObserveStep and LogStep touch it): the parameter → top-level-
+// module grouping ("module" = the dotted name up to the first '.'), built
+// once by StartRun, and the step ObserveStep last saw, which LogStep turns
+// into the step record.
+struct StepState {
   std::vector<std::string> params;   ///< RunInfo::param_names
   std::vector<std::string> modules;  ///< sorted, unique
   std::vector<size_t> module_of;     ///< param index → index into modules
+  int64_t step = 0;
+  TaskLosses losses;
+  double grad_norm = 0.0;  ///< pre-clip global L2 norm
+  /// Pre-clip per-module norms, sorted by module; a module none of whose
+  /// parameters had a gradient is left out.
+  std::vector<std::pair<std::string, double>> module_grad_norms;
 };
 
-ModuleGrouping& GetGrouping() {
-  static ModuleGrouping* grouping = new ModuleGrouping();
-  return *grouping;
+StepState& GetStepState() {
+  static StepState* state = new StepState();
+  return *state;
 }
 
-ModuleGrouping GroupByModule(const std::vector<std::string>& param_names) {
-  ModuleGrouping grouping;
+StepState GroupByModule(const std::vector<std::string>& param_names) {
+  StepState grouping;
   grouping.params = param_names;
   std::vector<std::string> module_of_param;
   for (const std::string& name : param_names) {
@@ -258,6 +285,22 @@ metrics::Counter& NonfiniteGradCounter() {
   return counter;
 }
 
+std::string EventLogPath() {
+  LogState& log = GetLogState();
+  std::lock_guard<std::mutex> lock(log.mutex);
+  return log.path;
+}
+
+bool EventLogConfigured() {
+  return (g_active_flags.load(std::memory_order_relaxed) & kFlagEventLog) !=
+         0;
+}
+
+bool NanAbort() {
+  return (g_active_flags.load(std::memory_order_relaxed) & kFlagNanAbort) !=
+         0;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -271,23 +314,7 @@ void SetEventLogPath(const std::string& path) {
   SetFlag(kFlagEventLog, !path.empty());
 }
 
-std::string EventLogPath() {
-  LogState& log = GetLogState();
-  std::lock_guard<std::mutex> lock(log.mutex);
-  return log.path;
-}
-
-bool EventLogConfigured() {
-  return (g_active_flags.load(std::memory_order_relaxed) & kFlagEventLog) !=
-         0;
-}
-
 void SetNanAbort(bool on) { SetFlag(kFlagNanAbort, on); }
-
-bool NanAbort() {
-  return (g_active_flags.load(std::memory_order_relaxed) & kFlagNanAbort) !=
-         0;
-}
 
 void SetSentinelsEnabled(bool on) { SetFlag(kFlagSentinels, on); }
 
@@ -318,7 +345,7 @@ void InitTrainObsFromEnv() {
 // Run lifecycle
 
 Status StartRun(const RunInfo& info) {
-  GetGrouping() = GroupByModule(info.param_names);
+  GetStepState() = GroupByModule(info.param_names);
   {
     Run run;
     run.started = true;
@@ -391,88 +418,34 @@ void EndRun(double best_valid_f1, double test_f1, int64_t epochs_ran) {
 // ---------------------------------------------------------------------------
 // Events
 
-void LogStep(const StepEvent& event) {
-  {
-    RunStatus& status = GetRunStatus();
-    std::lock_guard<std::mutex> lock(status.mutex);
-    Run& run = status.run;
-    run.step = event.step + 1;  // steps completed
-    run.epoch = event.epoch;
-    run.lr = event.lr;
-    run.grad_norm = event.grad_norm;
-    run.update_ratio = event.update_ratio;
-    StepPoint point;
-    point.loss_em =
-        event.n_em > 0 ? event.loss_em / static_cast<double>(event.n_em)
-                       : 0.0;
-    point.loss_id1 =
-        event.n_id1 > 0 ? event.loss_id1 / static_cast<double>(event.n_id1)
-                        : 0.0;
-    point.loss_id2 =
-        event.n_id2 > 0 ? event.loss_id2 / static_cast<double>(event.n_id2)
-                        : 0.0;
-    point.step_ms = event.step_ms;
-    run.recent.push_back(point);
-    if (run.recent.size() > kRecentSteps) run.recent.pop_front();
-  }
-  static metrics::Gauge& update_ratio_gauge =
-      metrics::GetGauge("training.update_ratio.global");
-  update_ratio_gauge.Set(event.update_ratio);
-  for (const auto& [module, ratio] : event.module_update_ratios) {
-    metrics::GetGauge("training.update_ratio." + module).Set(ratio);
-  }
-
-  if (!EventLogConfigured()) return;
-  std::ostringstream out = EventHead("step");
-  out << ", \"step\": " << event.step << ", \"epoch\": " << event.epoch
-      << ", \"loss\": ";
-  AppendTaskLosses(&out, event.loss_em, event.loss_id1, event.loss_id2);
-  out << ", \"examples\": {\"em\": " << event.n_em
-      << ", \"id1\": " << event.n_id1 << ", \"id2\": " << event.n_id2
-      << "}, \"lr\": " << JsonDouble(event.lr)
-      << ", \"grad_norm\": " << JsonDouble(event.grad_norm)
-      << ", \"update_ratio\": " << JsonDouble(event.update_ratio)
-      << ", \"step_ms\": " << JsonDouble(event.step_ms);
-  AppendNamedDoubles(&out, "grad_norms", event.module_grad_norms);
-  AppendNamedDoubles(&out, "update_ratios", event.module_update_ratios);
-  out << ", \"ts_unix\": " << UnixNowJson() << "}\n";
-  WriteEventLine(out.str());
-}
-
 void LogEpoch(const EpochEvent& event) {
+  if (!TelemetryActive()) return;
   {
     RunStatus& status = GetRunStatus();
     std::lock_guard<std::mutex> lock(status.mutex);
     Run& run = status.run;
     run.epoch = event.epoch;
-    if (event.n_em > 0) {
-      run.epoch_loss_em.push_back(event.loss_em /
-                                  static_cast<double>(event.n_em));
-    }
-    if (event.n_id1 > 0) {
-      run.epoch_loss_id1.push_back(event.loss_id1 /
-                                   static_cast<double>(event.n_id1));
-    }
-    if (event.n_id2 > 0) {
-      run.epoch_loss_id2.push_back(event.loss_id2 /
-                                   static_cast<double>(event.n_id2));
+    for (int t = 0; t < kTaskCount; ++t) {
+      if (auto mean = PerExampleMean(event.losses, t)) {
+        run.epoch_loss[t].push_back(*mean);
+      }
     }
   }
   if (!EventLogConfigured()) return;
+  static metrics::Counter& parallel_for_calls =
+      metrics::GetCounter("threadpool.parallel_for_calls");
   std::ostringstream out = EventHead("epoch");
-  out << ", \"epoch\": " << event.epoch << ", \"step\": " << event.step
-      << ", \"loss\": ";
-  AppendTaskLosses(&out, event.loss_em, event.loss_id1, event.loss_id2);
-  out << ", \"examples\": {\"em\": " << event.n_em
-      << ", \"id1\": " << event.n_id1 << ", \"id2\": " << event.n_id2
-      << "}, \"epoch_seconds\": " << JsonDouble(event.epoch_seconds)
-      << ", \"heap_allocs\": " << event.heap_allocs
-      << ", \"parallel_for_calls\": " << event.parallel_for_calls
+  out << ", \"epoch\": " << event.epoch << ", \"step\": " << event.step;
+  AppendLossAndExamples(&out, event.losses);
+  out << ", \"epoch_seconds\": " << JsonDouble(event.epoch_seconds)
+      << ", \"heap_allocs\": " << TensorHeapAllocCount()
+      << ", \"parallel_for_calls\": " << parallel_for_calls.Value()
       << ", \"ts_unix\": " << UnixNowJson() << "}\n";
   WriteEventLine(out.str());
 }
 
 void LogEval(const EvalEvent& event) {
+  if (!TelemetryActive()) return;
   if (event.split == "valid") {
     RunStatus& status = GetRunStatus();
     std::lock_guard<std::mutex> lock(status.mutex);
@@ -512,7 +485,7 @@ void LogCheckpoint(const CheckpointEvent& event) {
 }
 
 // ---------------------------------------------------------------------------
-// Numerics sentinels
+// Per-step telemetry: sentinels, nan-abort, step record
 
 namespace {
 
@@ -522,95 +495,9 @@ void RecordOffender(const std::string& offender) {
   status.run.last_offender = offender;
 }
 
-}  // namespace
-
-GradObservation ObserveGradients(const std::vector<const Tensor*>& grads) {
-  const ModuleGrouping& grouping = GetGrouping();
-  EMBA_CHECK_MSG(grads.size() == grouping.params.size(),
-                 "gradients not aligned with RunInfo::param_names");
-  GradObservation obs;
-  std::vector<double> module_sq(grouping.modules.size(), 0.0);
-  std::vector<bool> module_seen(grouping.modules.size(), false);
-  double total_sq = 0.0;
-  for (size_t i = 0; i < grads.size(); ++i) {
-    const Tensor* grad = grads[i];
-    if (grad == nullptr || grad->size() == 0) continue;
-    const double norm = static_cast<double>(grad->Norm());
-    if (!std::isfinite(norm) && !obs.nonfinite) {
-      obs.nonfinite = true;
-      obs.offender = grouping.params[i];
-    }
-    const double sq = norm * norm;
-    total_sq += sq;
-    module_sq[grouping.module_of[i]] += sq;
-    module_seen[grouping.module_of[i]] = true;
-  }
-  obs.global_norm = std::sqrt(total_sq);
-  for (size_t m = 0; m < grouping.modules.size(); ++m) {
-    if (module_seen[m]) {
-      obs.module_norms.emplace_back(grouping.modules[m],
-                                    std::sqrt(module_sq[m]));
-    }
-  }
-
-  static metrics::Gauge& global_gauge =
-      metrics::GetGauge("training.grad_norm.global");
-  global_gauge.Set(obs.global_norm);
-  for (const auto& [module, norm] : obs.module_norms) {
-    metrics::GetGauge("training.grad_norm." + module).Set(norm);
-  }
-  if (obs.nonfinite) {
-    NonfiniteGradCounter().Increment();
-    RecordOffender("grad:" + obs.offender);
-  }
-  return obs;
-}
-
-UpdateObservation ObserveUpdates(const std::vector<const Tensor*>& weights,
-                                 const std::vector<double>& update_sq_norms) {
-  const ModuleGrouping& grouping = GetGrouping();
-  EMBA_CHECK_MSG(weights.size() == grouping.params.size(),
-                 "weights not aligned with RunInfo::param_names");
-  std::vector<double> module_upd_sq(grouping.modules.size(), 0.0);
-  std::vector<double> module_w_sq(grouping.modules.size(), 0.0);
-  double total_upd_sq = 0.0, total_w_sq = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    const double wn = static_cast<double>(weights[i]->Norm());
-    const double u_sq = i < update_sq_norms.size() ? update_sq_norms[i] : 0.0;
-    total_w_sq += wn * wn;
-    total_upd_sq += u_sq;
-    module_w_sq[grouping.module_of[i]] += wn * wn;
-    module_upd_sq[grouping.module_of[i]] += u_sq;
-  }
-  const auto ratio = [](double upd_sq, double w_sq) {
-    return w_sq > 0.0 ? std::sqrt(upd_sq) / std::sqrt(w_sq) : 0.0;
-  };
-  UpdateObservation obs;
-  obs.global_ratio = ratio(total_upd_sq, total_w_sq);
-  for (size_t m = 0; m < grouping.modules.size(); ++m) {
-    obs.module_ratios.emplace_back(grouping.modules[m],
-                                   ratio(module_upd_sq[m], module_w_sq[m]));
-  }
-  return obs;
-}
-
-bool ObserveLoss(double em, double id1, double id2, std::string* offender) {
-  const char* task = nullptr;
-  if (!std::isfinite(em)) {
-    task = "em";
-  } else if (!std::isfinite(id1)) {
-    task = "id1";
-  } else if (!std::isfinite(id2)) {
-    task = "id2";
-  }
-  if (task == nullptr) return true;
-  NonfiniteLossCounter().Increment();
-  RecordOffender(std::string("loss:") + task);
-  if (offender != nullptr) *offender = task;
-  return false;
-}
-
-void NanAbortNow(const std::string& what, int64_t step) {
+/// Fail-fast path for --nan-abort: logs the offender, writes an abort
+/// event, closes the event log and exits with kNanAbortExitCode.
+[[noreturn]] void FailFast(const std::string& what, int64_t step) {
   EMBA_LOG(ERROR) << "nan-abort: non-finite value in " << what << " at step "
                   << step << " — failing fast (--nan-abort)";
   std::ostringstream out = EventHead("abort");
@@ -625,6 +512,134 @@ void NanAbortNow(const std::string& what, int64_t step) {
   // std::exit (not abort): atexit hooks still flush metrics/trace output,
   // and the distinct code tells harnesses "sentinel" apart from "crash".
   std::exit(kNanAbortExitCode);
+}
+
+/// The `<family>global` gauge and one `<family><module>` gauge per module.
+void SetModuleGauges(
+    const std::string& family, double global,
+    const std::vector<std::pair<std::string, double>>& modules) {
+  metrics::GetGauge(family + "global").Set(global);
+  for (const auto& [module, value] : modules) {
+    metrics::GetGauge(family + module).Set(value);
+  }
+}
+
+}  // namespace
+
+void ObserveStep(int64_t step, const TaskLosses& losses,
+                 const std::vector<const Tensor*>& grads) {
+  StepState& state = GetStepState();
+  EMBA_CHECK_MSG(grads.size() == state.params.size(),
+                 "gradients not aligned with RunInfo::param_names");
+  state.step = step;
+  state.losses = losses;
+
+  std::string loss_offender;
+  for (int t = 0; t < kTaskCount && loss_offender.empty(); ++t) {
+    if (!std::isfinite(losses.sum[t])) {
+      loss_offender = std::string("loss:") + kTaskNames[t];
+    }
+  }
+  if (!loss_offender.empty()) {
+    NonfiniteLossCounter().Increment();
+    RecordOffender(loss_offender);
+  }
+
+  std::vector<double> module_sq(state.modules.size(), 0.0);
+  std::vector<bool> module_seen(state.modules.size(), false);
+  double total_sq = 0.0;
+  std::string grad_offender;
+  for (size_t i = 0; i < grads.size(); ++i) {
+    const Tensor* grad = grads[i];
+    if (grad == nullptr || grad->size() == 0) continue;
+    const double norm = static_cast<double>(grad->Norm());
+    if (!std::isfinite(norm) && grad_offender.empty()) {
+      grad_offender = "grad:" + state.params[i];
+    }
+    const double sq = norm * norm;
+    total_sq += sq;
+    module_sq[state.module_of[i]] += sq;
+    module_seen[state.module_of[i]] = true;
+  }
+  state.grad_norm = std::sqrt(total_sq);
+  state.module_grad_norms.clear();
+  for (size_t m = 0; m < state.modules.size(); ++m) {
+    if (module_seen[m]) {
+      state.module_grad_norms.emplace_back(state.modules[m],
+                                           std::sqrt(module_sq[m]));
+    }
+  }
+  SetModuleGauges("training.grad_norm.", state.grad_norm,
+                  state.module_grad_norms);
+  if (!grad_offender.empty()) {
+    NonfiniteGradCounter().Increment();
+    RecordOffender(grad_offender);
+  }
+
+  const std::string& offender =
+      loss_offender.empty() ? grad_offender : loss_offender;
+  if (NanAbort() && !offender.empty()) FailFast(offender, step);
+}
+
+void LogStep(int64_t epoch, double lr, double step_ms,
+             const std::vector<const Tensor*>& weights,
+             const std::vector<double>& update_sq_norms) {
+  const StepState& state = GetStepState();
+  EMBA_CHECK_MSG(weights.size() == state.params.size(),
+                 "weights not aligned with RunInfo::param_names");
+  std::vector<double> module_upd_sq(state.modules.size(), 0.0);
+  std::vector<double> module_w_sq(state.modules.size(), 0.0);
+  double total_upd_sq = 0.0, total_w_sq = 0.0;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    const double wn = static_cast<double>(weights[i]->Norm());
+    const double u_sq = i < update_sq_norms.size() ? update_sq_norms[i] : 0.0;
+    total_w_sq += wn * wn;
+    total_upd_sq += u_sq;
+    module_w_sq[state.module_of[i]] += wn * wn;
+    module_upd_sq[state.module_of[i]] += u_sq;
+  }
+  const auto ratio = [](double upd_sq, double w_sq) {
+    return w_sq > 0.0 ? std::sqrt(upd_sq) / std::sqrt(w_sq) : 0.0;
+  };
+  const double update_ratio = ratio(total_upd_sq, total_w_sq);
+  std::vector<std::pair<std::string, double>> module_update_ratios;
+  for (size_t m = 0; m < state.modules.size(); ++m) {
+    module_update_ratios.emplace_back(state.modules[m],
+                                      ratio(module_upd_sq[m], module_w_sq[m]));
+  }
+
+  {
+    RunStatus& status = GetRunStatus();
+    std::lock_guard<std::mutex> lock(status.mutex);
+    Run& run = status.run;
+    run.step = state.step + 1;  // steps completed
+    run.epoch = epoch;
+    run.lr = lr;
+    run.grad_norm = state.grad_norm;
+    run.update_ratio = update_ratio;
+    StepPoint point;
+    for (int t = 0; t < kTaskCount; ++t) {
+      point.loss[t] = PerExampleMean(state.losses, t).value_or(0.0);
+    }
+    point.step_ms = step_ms;
+    run.recent.push_back(point);
+    if (run.recent.size() > kRecentSteps) run.recent.pop_front();
+  }
+  SetModuleGauges("training.update_ratio.", update_ratio,
+                  module_update_ratios);
+
+  if (!EventLogConfigured()) return;
+  std::ostringstream out = EventHead("step");
+  out << ", \"step\": " << state.step << ", \"epoch\": " << epoch;
+  AppendLossAndExamples(&out, state.losses);
+  out << ", \"lr\": " << JsonDouble(lr)
+      << ", \"grad_norm\": " << JsonDouble(state.grad_norm)
+      << ", \"update_ratio\": " << JsonDouble(update_ratio)
+      << ", \"step_ms\": " << JsonDouble(step_ms);
+  AppendNamedDoubles(&out, "grad_norms", state.module_grad_norms);
+  AppendNamedDoubles(&out, "update_ratios", module_update_ratios);
+  out << ", \"ts_unix\": " << UnixNowJson() << "}\n";
+  WriteEventLine(out.str());
 }
 
 // ---------------------------------------------------------------------------
@@ -711,17 +726,6 @@ void AppendJsonDoubles(std::ostringstream* out,
   *out << ']';
 }
 
-void AppendRecentSeries(std::ostringstream* out, const char* key,
-                        const std::deque<StepPoint>& recent,
-                        double StepPoint::*field) {
-  *out << ", \"" << key << "\": [";
-  for (size_t i = 0; i < recent.size(); ++i) {
-    if (i > 0) *out << ", ";
-    *out << JsonDouble(recent[i].*field);
-  }
-  *out << ']';
-}
-
 }  // namespace
 
 http::HttpResponse HandleTrainzRequest(const http::HttpRequest&) {
@@ -751,12 +755,11 @@ http::HttpResponse HandleTrainzRequest(const http::HttpRequest&) {
           << ",\n  \"grad_norm\": " << JsonDouble(run.grad_norm)
           << ",\n  \"update_ratio\": " << JsonDouble(run.update_ratio)
           << ",\n  \"run_seconds\": " << JsonDouble(run_seconds)
-          << ",\n  \"epoch_loss\": {\"em\": ";
-      AppendJsonDoubles(&out, run.epoch_loss_em);
-      out << ", \"id1\": ";
-      AppendJsonDoubles(&out, run.epoch_loss_id1);
-      out << ", \"id2\": ";
-      AppendJsonDoubles(&out, run.epoch_loss_id2);
+          << ",\n  \"epoch_loss\": {";
+      for (int t = 0; t < kTaskCount; ++t) {
+        out << (t > 0 ? ", \"" : "\"") << kTaskNames[t] << "\": ";
+        AppendJsonDoubles(&out, run.epoch_loss[t]);
+      }
       out << "},\n  \"eval\": {\"f1\": ";
       AppendJsonDoubles(&out, run.eval_f1);
       out << ", \"precision\": ";
@@ -764,10 +767,19 @@ http::HttpResponse HandleTrainzRequest(const http::HttpRequest&) {
       out << ", \"recall\": ";
       AppendJsonDoubles(&out, run.eval_recall);
       out << "},\n  \"recent_steps\": {\"count\": " << run.recent.size();
-      AppendRecentSeries(&out, "loss_em", run.recent, &StepPoint::loss_em);
-      AppendRecentSeries(&out, "loss_id1", run.recent, &StepPoint::loss_id1);
-      AppendRecentSeries(&out, "loss_id2", run.recent, &StepPoint::loss_id2);
-      AppendRecentSeries(&out, "step_ms", run.recent, &StepPoint::step_ms);
+      const auto append_series = [&](const std::string& key, auto field) {
+        out << ", \"" << key << "\": [";
+        for (size_t i = 0; i < run.recent.size(); ++i) {
+          if (i > 0) out << ", ";
+          out << JsonDouble(field(run.recent[i]));
+        }
+        out << ']';
+      };
+      for (int t = 0; t < kTaskCount; ++t) {
+        append_series(std::string("loss_") + kTaskNames[t],
+                      [t](const StepPoint& p) { return p.loss[t]; });
+      }
+      append_series("step_ms", [](const StepPoint& p) { return p.step_ms; });
       out << "}";
     }
     out << ",\n  \"sentinels\": {\"nonfinite_losses\": "
@@ -822,7 +834,7 @@ void ResetTrainObsForTest() {
     std::lock_guard<std::mutex> lock(log.mutex);
     CloseLogLocked(&log);
   }
-  GetGrouping() = ModuleGrouping();
+  GetStepState() = StepState();
   RunStatus& status = GetRunStatus();
   std::lock_guard<std::mutex> lock(status.mutex);
   status.run = Run();

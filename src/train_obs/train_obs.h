@@ -18,6 +18,11 @@
 //      and the last checkpoint, served as JSON. It is the one store of a
 //      run's progress; util/observability keeps only process liveness.
 //
+// Every per-step decision lives here, not in the trainer: per optimizer
+// step the trainer hands ObserveStep the step's losses and gradients (the
+// sentinels and nan-abort) and LogStep the weights and update norms (the
+// step record).
+//
 // Zero-overhead-when-off is the same hard contract as the serving-side
 // stack: the trainer asks TelemetryActive() once per step (relaxed atomic
 // loads + one branch) and skips every per-step hook when it is false.
@@ -32,7 +37,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -56,14 +60,11 @@ constexpr int kNanAbortExitCode = 120;
 /// Configures the JSONL event log path. Non-empty enables per-step
 /// telemetry; empty disables. The file is opened lazily by StartRun.
 void SetEventLogPath(const std::string& path);
-std::string EventLogPath();
-bool EventLogConfigured();
 
 /// Arms the fail-fast on non-finite losses/gradients (--nan-abort /
 /// EMBA_NAN_ABORT). Arming also activates per-step telemetry: the sentinel
 /// has to look at every gradient to be able to trip.
 void SetNanAbort(bool on);
-bool NanAbort();
 
 /// Forces sentinel collection without an event log or server (tests, and
 /// runs that only want the training.numerics.* metrics family).
@@ -105,8 +106,8 @@ struct RunInfo {
   int64_t resume_step = 0;
   int64_t resume_epoch = 0;
   /// Dotted parameter names, in the order of the per-parameter tensors the
-  /// trainer later hands to ObserveGradients / ObserveUpdates. StartRun
-  /// groups them once into top-level modules (name up to the first '.').
+  /// trainer later hands to ObserveStep and LogStep. StartRun groups them
+  /// once into top-level modules (name up to the first '.').
   std::vector<std::string> param_names;
 };
 
@@ -119,39 +120,67 @@ Status StartRun(const RunInfo& info);
 /// log. No-op when no run is open.
 void EndRun(double best_valid_f1, double test_f1, int64_t epochs_ran);
 
-/// One optimizer step. Losses are per-task sums over the mini-batch;
-/// counts are the number of examples that contributed to each task head
-/// (id1/id2 are 0 for single-task models).
-struct StepEvent {
-  int64_t step = 0;
-  int64_t epoch = 0;
-  double loss_em = 0.0, loss_id1 = 0.0, loss_id2 = 0.0;
-  int64_t n_em = 0, n_id1 = 0, n_id2 = 0;
-  double lr = 0.0;
-  double grad_norm = 0.0;      ///< pre-clip global L2 norm
-  double update_ratio = 0.0;   ///< ‖applied update‖ / ‖weights‖, global
-  double step_ms = 0.0;
-  /// Per-top-level-module pre-clip gradient norms (module = dotted name up
-  /// to the first '.'). Sorted by module name.
-  std::vector<std::pair<std::string, double>> module_grad_norms;
-  /// Per-top-level-module ‖applied update‖ / ‖weights‖, sorted by module.
-  std::vector<std::pair<std::string, double>> module_update_ratios;
-};
-void LogStep(const StepEvent& event);
+/// The task heads of Eq. 3: entity matching and the two entity-ID heads.
+enum Task { kEm, kId1, kId2, kTaskCount };
 
-/// Epoch boundary. Losses are per-task sums over the whole epoch; the
-/// event log carries the sums, /trainz shows per-example means.
+/// The per-task sums of Eq. 3 over a span of examples (a step, an epoch)
+/// and the number of examples that reached each task head (the ID heads
+/// stay 0 for single-task models), indexed by Task. The event log carries
+/// the sums; /trainz shows per-example means.
+struct TaskLosses {
+  double sum[kTaskCount] = {};
+  int64_t count[kTaskCount] = {};
+
+  void Add(Task task, double loss) {
+    sum[task] += loss;
+    ++count[task];
+  }
+  /// What was accumulated since `before`: "this step" is "epoch so far −
+  /// epoch before the step".
+  TaskLosses operator-(const TaskLosses& before) const {
+    TaskLosses d;
+    for (int t = 0; t < kTaskCount; ++t) {
+      d.sum[t] = sum[t] - before.sum[t];
+      d.count[t] = count[t] - before.count[t];
+    }
+    return d;
+  }
+};
+
+/// The numerics sentinels of one optimizer step, called after the backward
+/// pass and before clipping (clipping a non-finite norm rescales by 0 and
+/// smears the evidence into NaN everywhere). Checks the step's losses
+/// (training.numerics.nonfinite_losses, offender "loss:<task>"), then the
+/// gradients, index-aligned with RunInfo::param_names: per-module and
+/// global norms into the training.grad_norm.* gauges, non-finite detection
+/// into training.numerics.nonfinite_grads (offender "grad:<param>"). Null
+/// tensors are skipped (parameters that received no gradient this step).
+/// With nan-abort armed, a non-finite loss — else a non-finite gradient —
+/// logs the offender, writes an abort event and exits with
+/// kNanAbortExitCode. The step's losses and norms are kept for LogStep.
+/// One pass over every gradient: call only under TelemetryActive().
+void ObserveStep(int64_t step, const TaskLosses& losses,
+                 const std::vector<const Tensor*>& grads);
+
+/// The record of the step ObserveStep last saw, once the optimizer has
+/// applied it. `weights` and the optimizer's per-parameter Σδ² are
+/// index-aligned with RunInfo::param_names (a missing Σδ² counts as 0);
+/// LogStep turns them into update-to-weight ratios √Σ‖δ‖² / √Σ‖w‖², global
+/// and per module, sets the training.update_ratio.* gauges, updates /trainz
+/// and writes the step event. Call only under TelemetryActive().
+void LogStep(int64_t epoch, double lr, double step_ms,
+             const std::vector<const Tensor*>& weights,
+             const std::vector<double>& update_sq_norms);
+
+/// Epoch boundary, with the epoch's per-task loss sums. The event also
+/// carries allocator/kernel provenance sampled here: cumulative tensor heap
+/// allocations and thread-pool parallel_for launches. Like LogEval, a
+/// no-op unless TelemetryActive().
 struct EpochEvent {
   int64_t epoch = 0;
   int64_t step = 0;
-  double loss_em = 0.0, loss_id1 = 0.0, loss_id2 = 0.0;
-  int64_t n_em = 0, n_id1 = 0, n_id2 = 0;
+  TaskLosses losses;
   double epoch_seconds = 0.0;
-  /// Allocator/kernel provenance sampled at the boundary (cheap global
-  /// counters): cumulative tensor heap allocations and thread-pool
-  /// parallel_for launches.
-  int64_t heap_allocs = 0;
-  int64_t parallel_for_calls = 0;
 };
 void LogEpoch(const EpochEvent& event);
 
@@ -177,47 +206,6 @@ struct CheckpointEvent {
   double write_ms = 0.0;
 };
 void LogCheckpoint(const CheckpointEvent& event);
-
-// ---------------------------------------------------------------------------
-// Numerics sentinels
-
-struct GradObservation {
-  double global_norm = 0.0;  ///< L2 over all gradients (pre-clip)
-  bool nonfinite = false;
-  std::string offender;  ///< dotted param name of the first non-finite grad
-  /// Per-top-level-module L2 norms, sorted by module name.
-  std::vector<std::pair<std::string, double>> module_norms;
-};
-
-/// Scans per-parameter gradients, index-aligned with RunInfo::param_names:
-/// per-module and global norms into the training.grad_norm.* gauges,
-/// non-finite detection into training.numerics.nonfinite_grads. Null
-/// tensors are skipped (parameters that received no gradient this step);
-/// a module none of whose parameters has a gradient is left out. One pass
-/// over every gradient — call only under TelemetryActive().
-GradObservation ObserveGradients(const std::vector<const Tensor*>& grads);
-
-struct UpdateObservation {
-  double global_ratio = 0.0;  ///< ‖applied update‖ / ‖weights‖, all params
-  /// Per-top-level-module ratios, sorted by module name.
-  std::vector<std::pair<std::string, double>> module_ratios;
-};
-
-/// Update-to-weight ratios √Σ‖δ‖² / √Σ‖w‖² of the step just applied.
-/// `weights` and the optimizer's per-parameter Σδ² are index-aligned with
-/// RunInfo::param_names; a missing Σδ² counts as 0. Call only under
-/// TelemetryActive().
-UpdateObservation ObserveUpdates(const std::vector<const Tensor*>& weights,
-                                 const std::vector<double>& update_sq_norms);
-
-/// Checks the per-task batch loss sums; on a non-finite value increments
-/// training.numerics.nonfinite_losses, records the offending task in the
-/// run status and returns false with *offender set ("em"/"id1"/"id2").
-bool ObserveLoss(double em, double id1, double id2, std::string* offender);
-
-/// Fail-fast path for --nan-abort: logs the offender, flushes the event
-/// log, and _exits with kNanAbortExitCode.
-[[noreturn]] void NanAbortNow(const std::string& what, int64_t step);
 
 // ---------------------------------------------------------------------------
 // Attention introspection (EMBA_ATTN_STATS)

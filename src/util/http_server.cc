@@ -262,24 +262,25 @@ void HttpServer::WorkerLoop() {
 void HttpServer::HandleConnection(int client_fd) {
   // Request-scoped tracing starts at connection handling (nullptr — one
   // relaxed load — when disabled). Everything until the handler runs is the
-  // "parse" stage; the context is finalized after the response goes out, so
-  // e2e covers socket read through socket write. A `return` before a
-  // response (disconnect, timeout) finalizes with status 0 (an abort).
+  // "parse" stage. The context is finished when the response is ready, just
+  // before the socket write, so a client holding its response always finds
+  // the record on /rpcz and in the access log; e2e covers socket read
+  // through the ready response. A `return` before any response (disconnect,
+  // timeout) finishes with status 0 (an abort).
   std::shared_ptr<rtrace::RequestContext> ctx = rtrace::StartRequest();
-  int sent_status = 0;
   const auto respond = [&](HttpResponse resp) {
-    sent_status = resp.status;
     if (ctx != nullptr) {
       resp.extra_headers.emplace_back("X-Emba-Trace-Id",
                                       ctx->trace_id_hex());
+      rtrace::FinishRequest(ctx, resp.status);
+      ctx.reset();
     }
     SendResponse(client_fd, resp);
   };
   struct Finalizer {
     std::shared_ptr<rtrace::RequestContext>& ctx;
-    int& status;
-    ~Finalizer() { rtrace::FinishRequest(ctx, status); }
-  } finalizer{ctx, sent_status};
+    ~Finalizer() { rtrace::FinishRequest(ctx, /*status=*/0); }
+  } finalizer{ctx};
 
   // Phase 1: assemble the header block. recv() returns whatever bytes have
   // arrived — a request trickling in byte-at-a-time must parse identically

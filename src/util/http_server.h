@@ -67,8 +67,8 @@ struct HttpRequest {
   /// Request-scoped trace context, created by the server when request
   /// tracing (util/request_trace) is enabled; nullptr otherwise — handlers
   /// must treat it as optional. The server owns the lifecycle: it stamps
-  /// the parse stage, echoes X-Emba-Trace-Id on the response, and finalizes
-  /// the context after the response is sent.
+  /// the parse stage, echoes X-Emba-Trace-Id on the response, and finishes
+  /// the context when the response is ready, just before writing it.
   std::shared_ptr<rtrace::RequestContext> trace;
 
   /// Value of header `name` (must be given lowercased), or "" when absent.

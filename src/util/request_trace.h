@@ -12,7 +12,8 @@
 //   batch_form  dequeue → scoring call assembled
 //   compute     the shared BatchForward call the request rode in
 //   serialize   response-body construction
-//   (other)     e2e minus the sum above — future hand-off, socket write
+//   (other)     e2e minus the sum above — future hand-off, header echo
+//               (e2e ends when the response is ready to write)
 //
 // Batching attribution: requests scored together share one batch record
 // (batch id, size, fire reason, int8 flag, compute time, member trace ids),

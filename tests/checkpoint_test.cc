@@ -396,9 +396,53 @@ TEST(ModuleCheckpointTest, UnmatchedFileEntryIsAnError) {
   Status strict = model.LoadParameters(path);
   EXPECT_FALSE(strict.ok());
   EXPECT_NE(strict.message().find("ghost.weight"), std::string::npos);
-
-  EXPECT_TRUE(model.LoadParameters(path, /*allow_unmatched=*/true).ok());
   std::remove(path.c_str());
+}
+
+TEST(ModuleCheckpointTest, RejectedLoadLeavesEveryParameterUnchanged) {
+  // A file that fails to match must not leave the model half-loaded: the
+  // matcher checks every name, shape and stray before assigning anything.
+  Rng rng(7);
+  nn::Linear model(3, 2, &rng);
+  const auto named = model.NamedParameters();
+  ASSERT_EQ(named.size(), 2u);
+  std::vector<Tensor> before;
+  for (const auto& [name, var] : named) before.push_back(var.value());
+  const auto other_values = [](const Tensor& t) {
+    Tensor out = t;
+    for (int64_t j = 0; j < out.size(); ++j) out[j] += 1.0f;
+    return out;
+  };
+
+  nn::CheckpointWriter stray;  // every parameter valid, plus a stray entry
+  for (const auto& [name, var] : named) {
+    stray.AddTensor(name, other_values(var.value()));
+  }
+  stray.AddTensor("ghost.weight", Tensor::FromVector({1.0f}));
+  nn::CheckpointWriter misshaped;  // valid first, mis-shaped second
+  misshaped.AddTensor(named[0].first, other_values(named[0].second.value()));
+  misshaped.AddTensor(named[1].first, Tensor::FromVector({1.0f, 2.0f, 3.0f}));
+
+  const struct {
+    nn::CheckpointWriter* writer;
+    const char* error;
+  } cases[] = {{&stray, "ghost.weight"}, {&misshaped, "shape mismatch"}};
+  for (const auto& c : cases) {
+    const std::string path = TempPath("rejected_load.ckpt");
+    ASSERT_TRUE(c.writer->Write(path).ok());
+    Status status = model.LoadParameters(path);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << c.error;
+    EXPECT_NE(status.message().find(c.error), std::string::npos)
+        << status.message();
+    for (size_t i = 0; i < named.size(); ++i) {
+      const Tensor& now = named[i].second.value();
+      ASSERT_TRUE(now.shape() == before[i].shape());
+      for (int64_t j = 0; j < now.size(); ++j) {
+        EXPECT_EQ(now[j], before[i][j]) << c.error << " " << named[i].first;
+      }
+    }
+    std::remove(path.c_str());
+  }
 }
 
 // ---------- Rng state ----------

@@ -898,21 +898,16 @@ TEST(MatchServiceTest, AccessLogLineEqualsRpczRecord) {
   const std::string ids[] = {match->headers.at("x-emba-trace-id"),
                              dedupe->headers.at("x-emba-trace-id")};
 
-  // A request's line is written when its connection finishes, which may
-  // trail the response the client already holds.
+  // A request's line is written before its response, so once the client
+  // holds both responses one read of the log sees both lines.
   std::map<std::string, std::string> lines;
-  for (int attempt = 0; attempt < 500 && lines.size() < 2; ++attempt) {
-    ASSERT_TRUE(rtrace::FlushAccessLog().ok());
-    std::ifstream in(log_path);
-    std::string line;
-    while (std::getline(in, line)) {
-      auto parsed = json::Parse(line);
-      ASSERT_TRUE(parsed.ok()) << line;
-      lines[parsed->Find("trace_id")->AsString()] = line;
-    }
-    if (lines.size() < 2) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
+  ASSERT_TRUE(rtrace::FlushAccessLog().ok());
+  std::ifstream in(log_path);
+  std::string line;
+  while (std::getline(in, line)) {
+    auto parsed = json::Parse(line);
+    ASSERT_TRUE(parsed.ok()) << line;
+    lines[parsed->Find("trace_id")->AsString()] = line;
   }
   for (const std::string& id : ids) {
     ASSERT_TRUE(lines.count(id)) << "no access-log line for " << id;

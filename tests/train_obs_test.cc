@@ -190,50 +190,108 @@ TEST(HistogramNanTest, ExemplarPathRejectsNanToo) {
 
 // ---------- Sentinel unit behavior ----------
 
-/// Opens a run (no event log) whose parameters are `param_names`, so the
-/// per-step Observe* hooks have a module grouping to work with.
+/// Opens a run whose parameters are `param_names`, so the per-step hooks
+/// have a module grouping to work with.
 void StartRunWithParams(std::vector<std::string> param_names) {
   train_obs::RunInfo info;
   info.param_names = std::move(param_names);
   ASSERT_TRUE(train_obs::StartRun(info).ok());
 }
 
-TEST_F(TrainObsTest, ObserveGradientsFlagsFirstNonfiniteParam) {
-  train_obs::SetSentinelsEnabled(true);
-  StartRunWithParams({"encoder.w", "em_head.w"});
+/// Finite per-task losses of a four-example step.
+train_obs::TaskLosses FiniteLosses() {
+  train_obs::TaskLosses losses;
+  for (int t = 0; t < train_obs::kTaskCount; ++t) {
+    losses.sum[t] = 0.5 * (t + 1);
+    losses.count[t] = 4;
+  }
+  return losses;
+}
+
+/// /trainz's sentinels.last_offender.
+std::string LastOffender() {
+  http::HttpRequest req;
+  req.method = "GET";
+  req.path = "/trainz";
+  Result<json::Value> trainz =
+      json::Parse(train_obs::HandleTrainzRequest(req).body);
+  EMBA_CHECK(trainz.ok());
+  return trainz->Find("sentinels")->Find("last_offender")->AsString();
+}
+
+TEST_F(TrainObsTest, ObserveStepFlagsFirstNonfiniteParam) {
+  const std::string log_path = TempPath("train_obs_sentinel.jsonl");
+  train_obs::SetEventLogPath(log_path);
+  StartRunWithParams({"encoder.w", "em_head.w", "id_head.w"});
   Tensor good = Tensor::FromVector({0.5f, -0.5f});
   Tensor bad = Tensor::FromVector({1.0f, std::nanf("")});
-  auto obs = train_obs::ObserveGradients({&good, &bad});
-  EXPECT_TRUE(obs.nonfinite);
-  EXPECT_EQ(obs.offender, "em_head.w");
-  ASSERT_EQ(obs.module_norms.size(), 2u);
-  EXPECT_EQ(obs.module_norms[0].first, "em_head");
-  EXPECT_EQ(obs.module_norms[1].first, "encoder");
-  EXPECT_NEAR(obs.module_norms[1].second, std::sqrt(0.5), 1e-6);
+  Tensor also_bad = Tensor::FromVector({std::nanf("")});
+  train_obs::ObserveStep(0, FiniteLosses(), {&good, &bad, &also_bad});
   EXPECT_EQ(metrics::GetCounter("training.numerics.nonfinite_grads").Value(),
             1u);
+  EXPECT_EQ(metrics::GetCounter("training.numerics.nonfinite_losses").Value(),
+            0u);
+  EXPECT_EQ(LastOffender(), "grad:em_head.w");
+  EXPECT_TRUE(
+      std::isnan(metrics::GetGauge("training.grad_norm.em_head").Value()));
+  EXPECT_NEAR(metrics::GetGauge("training.grad_norm.encoder").Value(),
+              std::sqrt(0.5), 1e-6);
+
+  // The step record lists the module norms sorted by module name.
+  Tensor w = Tensor::FromVector({1.0f, 1.0f});
+  train_obs::LogStep(/*epoch=*/0, /*lr=*/0.0, /*step_ms=*/0.0, {&w, &w, &w},
+                     {});
+  const auto steps = EventsOfType(log_path, "step");
+  ASSERT_EQ(steps.size(), 1u);
+  EXPECT_NE(MaskNumbers(steps[0]).find(
+                "\"grad_norms\": {\"em_head\": \"nan\", \"encoder\": 0, "
+                "\"id_head\": \"nan\"}, \"update_ratios\": {\"em_head\": 0, "
+                "\"encoder\": 0, \"id_head\": 0}"),
+            std::string::npos)
+      << steps[0];
+  std::remove(log_path.c_str());
 }
 
-TEST_F(TrainObsTest, ObserveGradientsSkipsNullAndStaysFinite) {
-  train_obs::SetSentinelsEnabled(true);
+TEST_F(TrainObsTest, ObserveStepSkipsNullGradsAndStaysFinite) {
   StartRunWithParams({"m.w", "m.frozen"});
   Tensor grad = Tensor::FromVector({3.0f, 4.0f});
-  auto obs = train_obs::ObserveGradients({&grad, nullptr});
-  EXPECT_FALSE(obs.nonfinite);
-  EXPECT_NEAR(obs.global_norm, 5.0, 1e-9);
+  train_obs::ObserveStep(0, FiniteLosses(), {&grad, nullptr});
+  EXPECT_NEAR(metrics::GetGauge("training.grad_norm.global").Value(), 5.0,
+              1e-9);
+  EXPECT_NEAR(metrics::GetGauge("training.grad_norm.m").Value(), 5.0, 1e-9);
   EXPECT_EQ(metrics::GetCounter("training.numerics.nonfinite_grads").Value(),
             0u);
+  EXPECT_EQ(LastOffender(), "");
 }
 
-TEST_F(TrainObsTest, ObserveLossNamesTheOffendingTask) {
-  train_obs::SetSentinelsEnabled(true);
-  std::string offender;
-  EXPECT_TRUE(train_obs::ObserveLoss(0.5, 1.0, 2.0, &offender));
-  EXPECT_FALSE(train_obs::ObserveLoss(
-      0.5, std::numeric_limits<double>::infinity(), 2.0, &offender));
-  EXPECT_EQ(offender, "id1");
+TEST_F(TrainObsTest, ObserveStepNamesTheOffendingTask) {
+  StartRunWithParams({});
+  train_obs::ObserveStep(0, FiniteLosses(), {});
+  EXPECT_EQ(metrics::GetCounter("training.numerics.nonfinite_losses").Value(),
+            0u);
+  train_obs::TaskLosses losses = FiniteLosses();
+  losses.sum[train_obs::kId1] = std::numeric_limits<double>::infinity();
+  losses.sum[train_obs::kId2] = std::nan("");
+  train_obs::ObserveStep(1, losses, {});
+  EXPECT_EQ(LastOffender(), "loss:id1");
   EXPECT_EQ(metrics::GetCounter("training.numerics.nonfinite_losses").Value(),
             1u);
+}
+
+TEST_F(TrainObsTest, NonfiniteLossTripsNanAbort) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        train_obs::SetNanAbort(true);
+        StartRunWithParams({"m.w"});
+        train_obs::TaskLosses losses = FiniteLosses();
+        losses.sum[train_obs::kId1] = std::numeric_limits<double>::infinity();
+        // A non-finite gradient in the same step: the loss is named first.
+        Tensor grad = Tensor::FromVector({std::nanf("")});
+        train_obs::ObserveStep(3, losses, {&grad});
+      },
+      ::testing::ExitedWithCode(train_obs::kNanAbortExitCode),
+      "nan-abort: non-finite value in loss:id1 at step 3");
 }
 
 TEST_F(TrainObsTest, AttentionRowObserverFeedsEntropyAndRowmax) {

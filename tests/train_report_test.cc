@@ -12,6 +12,7 @@
 #include <string>
 
 #include "train_obs/train_obs.h"
+#include "util/metrics.h"
 
 #ifndef EMBA_TRAIN_REPORT
 #error "EMBA_TRAIN_REPORT must name the train_report binary"
@@ -49,6 +50,9 @@ constexpr char kDataset[] = "wdc \"quoted\" } name";
 std::string WriteLog(const std::string& name, double em_loss) {
   const std::string path = "/tmp/emba_train_report_" + name + ".jsonl";
   std::filesystem::remove(path);
+  // run_end carries the process's sentinel totals; zero them so every log
+  // counts only its own non-finite step loss.
+  metrics::Registry::Global().ResetAllForTest();
   train_obs::SetEventLogPath(path);
   train_obs::RunInfo info;
   info.dataset = kDataset;
@@ -56,19 +60,20 @@ std::string WriteLog(const std::string& name, double em_loss) {
   info.max_epochs = 2;
   info.has_aux_heads = true;
   EXPECT_TRUE(train_obs::StartRun(info).ok());
-  train_obs::StepEvent step;
-  step.loss_em = NAN;
-  step.n_em = 4;
-  step.step_ms = 2.0;
-  train_obs::LogStep(step);
+  train_obs::TaskLosses step_losses;
+  step_losses.sum[train_obs::kEm] = NAN;
+  step_losses.count[train_obs::kEm] = 4;
+  train_obs::ObserveStep(0, step_losses, {});
+  train_obs::LogStep(/*epoch=*/0, /*lr=*/0.0, /*step_ms=*/2.0, {}, {});
   for (int64_t epoch = 0; epoch < 2; ++epoch) {
     train_obs::EpochEvent event;
     event.epoch = epoch;
     event.step = epoch + 1;
-    event.n_em = event.n_id1 = event.n_id2 = 4;
-    event.loss_em = epoch == 0 ? INFINITY : em_loss * 4;
-    event.loss_id1 = 0.5 * 4;
-    event.loss_id2 = 0.75 * 4;
+    const double per_example[] = {epoch == 0 ? INFINITY : em_loss, 0.5, 0.75};
+    for (int t = 0; t < train_obs::kTaskCount; ++t) {
+      event.losses.sum[t] = per_example[t] * 4;
+      event.losses.count[t] = 4;
+    }
     train_obs::LogEpoch(event);
     train_obs::EvalEvent eval;
     eval.epoch = epoch;
